@@ -9,7 +9,6 @@
 #![forbid(unsafe_code)]
 
 pub mod experiments;
-pub mod json;
 pub mod parallel;
 pub mod perf;
 pub mod svg;

@@ -17,10 +17,10 @@
 //! cannot perturb any experiment artefact.
 
 use crate::experiments::{icpda_round, tag_round};
-use crate::json::Json;
 use crate::{paper_deployment, Table};
 use agg::AggFunction;
 use icpda::{IcpdaConfig, IcpdaRun};
+use icpda_obs::json::Json;
 use std::time::Instant;
 use wsn_sim::geometry::{Point, Region};
 use wsn_sim::prelude::*;
@@ -501,7 +501,7 @@ impl Baseline {
     /// report.
     pub fn load(path: &std::path::Path) -> Result<Baseline, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let doc = crate::json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+        let doc = icpda_obs::json::parse(&text).map_err(|e| format!("{}: {e}", path.display()))?;
         icpda_obs::export::check_schema_version(&doc, &path.display().to_string())?;
         let results = doc
             .get("results")

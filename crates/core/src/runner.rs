@@ -97,7 +97,7 @@ impl IcpdaRun {
     /// `trace.jsonl` through a fixed-size buffer, and `finish` writes
     /// `manifest.json` + `metrics.jsonl` — all through the same renderers
     /// as the buffered exporter, so the files are byte-identical to
-    /// [`icpda_obs::export::write_dir`]'s at any thread or shard count.
+    /// [`icpda_obs::export::write_dir`]'s at any thread count.
     /// The outcome's [`IcpdaOutcome::stream`] summarises what was
     /// written; I/O failures are reported there, never panicked on.
     #[must_use]
@@ -329,16 +329,9 @@ impl IcpdaRun {
             obs.gauge_set("sim.min_alive", sim.metrics().min_alive() as i64);
             // Per-cause loss totals, for the `icpda obs report` loss
             // breakdown table.
-            let m = sim.metrics();
-            obs.add("sim_lost_collision", m.total_lost(LossCause::Collision));
-            obs.add("sim_lost_stochastic", m.total_lost(LossCause::Stochastic));
-            obs.add("sim_lost_half_duplex", m.total_lost(LossCause::HalfDuplex));
-            obs.add("sim_lost_mac_drop", m.total_lost(LossCause::MacDrop));
-            obs.add(
-                "sim_lost_receiver_down",
-                m.total_lost(LossCause::ReceiverDown),
-            );
-            obs.add("sim_lost_corrupt", m.total_lost(LossCause::Corrupt));
+            for cause in LossCause::ALL {
+                obs.add(cause.obs_counter(), sim.metrics().total_lost(cause));
+            }
             if !self.adversary_plan.is_empty() {
                 obs.gauge_set(
                     "icpda.adversaries",

@@ -6,9 +6,8 @@
 //! duration), object keys keep insertion order so emitted files are
 //! stable, and the parser accepts exactly the subset the writers emit.
 //!
-//! Historically this lived in `icpda-bench`; it moved here so the obs
-//! exporter (which `wsn-sim` sits on top of) can use it without a
-//! dependency cycle. `icpda_bench::json` re-exports it unchanged.
+//! It lives in the obs crate, below `wsn-sim` in the dependency graph,
+//! so the exporter and the bench harness share one implementation.
 
 use std::fmt::Write as _;
 

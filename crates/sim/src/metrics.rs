@@ -99,6 +99,50 @@ impl NodeMetrics {
     }
 }
 
+/// The one table mapping each [`LossCause`] to its [`NodeMetrics`]
+/// counter and its `sim_lost_*` registry counter name; every per-cause
+/// read, write and export goes through the accessors it generates.
+macro_rules! loss_counters {
+    ($($cause:ident => $field:ident, $counter:literal;)*) => {
+        impl LossCause {
+            /// Every cause, in declaration order.
+            pub const ALL: [LossCause; 6] = [$(LossCause::$cause),*];
+
+            /// The observability counter carrying this cause's run total
+            /// (`sim_lost_collision`, ...).
+            #[must_use]
+            pub fn obs_counter(self) -> &'static str {
+                match self {
+                    $(LossCause::$cause => $counter,)*
+                }
+            }
+        }
+
+        impl NodeMetrics {
+            fn lost(&self, cause: LossCause) -> u64 {
+                match cause {
+                    $(LossCause::$cause => self.$field,)*
+                }
+            }
+
+            pub(crate) fn lost_mut(&mut self, cause: LossCause) -> &mut u64 {
+                match cause {
+                    $(LossCause::$cause => &mut self.$field,)*
+                }
+            }
+        }
+    };
+}
+
+loss_counters! {
+    Collision => lost_collision, "sim_lost_collision";
+    Stochastic => lost_stochastic, "sim_lost_stochastic";
+    HalfDuplex => lost_half_duplex, "sim_lost_half_duplex";
+    MacDrop => mac_drops, "sim_lost_mac_drop";
+    ReceiverDown => lost_receiver_down, "sim_lost_receiver_down";
+    Corrupt => lost_corrupt, "sim_lost_corrupt";
+}
+
 /// Network-wide counters plus per-node breakdowns and user-defined
 /// protocol counters.
 #[derive(Clone, Debug, Default)]
@@ -161,17 +205,7 @@ impl Metrics {
     /// Total receptions lost, by cause.
     #[must_use]
     pub fn total_lost(&self, cause: LossCause) -> u64 {
-        self.per_node
-            .iter()
-            .map(|m| match cause {
-                LossCause::Collision => m.lost_collision,
-                LossCause::Stochastic => m.lost_stochastic,
-                LossCause::HalfDuplex => m.lost_half_duplex,
-                LossCause::MacDrop => m.mac_drops,
-                LossCause::ReceiverDown => m.lost_receiver_down,
-                LossCause::Corrupt => m.lost_corrupt,
-            })
-            .sum()
+        self.per_node.iter().map(|m| m.lost(cause)).sum()
     }
 
     /// Total energy spent network-wide, in millijoules.
@@ -201,8 +235,11 @@ impl Metrics {
         self.max_down = self.max_down.max(self.down_now);
     }
 
+    /// Records an up edge; the engine calls it only on a down→up
+    /// transition, so a node must be down.
     pub(crate) fn note_up(&mut self) {
-        self.down_now = self.down_now.saturating_sub(1);
+        debug_assert!(self.down_now > 0, "up edge without a matching down edge");
+        self.down_now -= 1;
     }
 
     /// Increments a named protocol-level counter (e.g. `"share_sent"`).
@@ -256,6 +293,13 @@ mod tests {
         assert_eq!(m.total_lost(LossCause::MacDrop), 6);
         assert_eq!(m.total_lost(LossCause::ReceiverDown), 7);
         assert_eq!(m.total_lost(LossCause::Corrupt), 8);
+        // The write accessor hits the same counter the totals read.
+        for (i, cause) in LossCause::ALL.into_iter().enumerate() {
+            *m.node_mut(NodeId::new(0)).lost_mut(cause) += 100;
+            let before = [3, 4, 5, 6, 7, 8][i];
+            assert_eq!(m.total_lost(cause), before + 100, "{cause:?}");
+        }
+        assert_eq!(LossCause::MacDrop.obs_counter(), "sim_lost_mac_drop");
     }
 
     #[test]
@@ -270,6 +314,14 @@ mod tests {
         assert_eq!(m.alive(), 4);
         // The low-water mark remembers the worst moment.
         assert_eq!(m.min_alive(), 3);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "up edge without a matching down edge")]
+    fn up_edge_without_down_edge_is_a_violation() {
+        let mut m = Metrics::new(2);
+        m.note_up();
     }
 
     #[test]

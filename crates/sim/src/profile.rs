@@ -1,11 +1,10 @@
 //! Engine self-profiling: wall-clock attribution of the event loop.
 //!
 //! When [`SimConfig::profile`] is set, the engine timestamps each
-//! `next_event` iteration and attributes the wall time to the pop (the
-//! k-way calendar merge) and to the dispatched phase, per shard. The
-//! result is written as `profile.jsonl` and rendered by
-//! `icpda obs profile` (top-k hot sections, per-shard imbalance, RSS
-//! high-water).
+//! `next_event` iteration and attributes the wall time to the calendar
+//! pop and to the dispatched phase. The result is written as
+//! `profile.jsonl` and rendered by `icpda obs profile` (top-k hot
+//! sections, gauges, RSS high-water).
 //!
 //! **Determinism:** this module is the *only* place in `wsn-sim` that
 //! touches the host clock, and the readings flow exclusively into
@@ -46,7 +45,7 @@ impl Stamp {
 }
 
 #[derive(Clone, Debug, Default)]
-struct ShardStats {
+struct LoopStats {
     pop_ns: u64,
     pops: u64,
     dispatch_ns: [u64; 6],
@@ -54,29 +53,23 @@ struct ShardStats {
     peak_queue: usize,
 }
 
-/// Accumulates per-shard wall-clock attribution during a run.
+/// Accumulates wall-clock attribution of the event loop during a run.
 #[derive(Clone, Debug, Default)]
 pub struct EngineProfiler {
     enabled: bool,
-    shards: Vec<ShardStats>,
+    stats: LoopStats,
     /// Whole-run sections timed outside the event loop
     /// (`setup.neighbor_build` etc.): `(name, events, wall_ns)`.
     external: Vec<(String, u64, u64)>,
 }
 
 impl EngineProfiler {
-    /// A profiler for `shards` shards; disabled profilers cost one
-    /// branch per event and hold no per-shard state.
+    /// A profiler; a disabled one costs one branch per event.
     #[must_use]
-    pub fn new(enabled: bool, shards: usize) -> Self {
+    pub fn new(enabled: bool) -> Self {
         EngineProfiler {
             enabled,
-            shards: if enabled {
-                vec![ShardStats::default(); shards.max(1)]
-            } else {
-                Vec::new()
-            },
-            external: Vec::new(),
+            ..EngineProfiler::default()
         }
     }
 
@@ -97,37 +90,34 @@ impl EngineProfiler {
         }
     }
 
-    /// Closes the pop (k-way merge) interval opened by `lap_start`,
-    /// attributing it to `shard` and sampling that shard's queue length
-    /// for the occupancy gauge. Returns the stamp opening the dispatch
-    /// interval.
+    /// Closes the pop interval opened by `lap_start`, sampling the queue
+    /// length for the occupancy gauge. Returns the stamp opening the
+    /// dispatch interval.
     #[must_use]
-    pub fn lap_pop(&mut self, stamp: Stamp, shard: usize, queue_len: usize) -> Stamp {
+    pub fn lap_pop(&mut self, stamp: Stamp, queue_len: usize) -> Stamp {
         let Some(t0) = stamp.0 else {
             return Stamp::none();
         };
         let now = Instant::now();
-        if let Some(s) = self.shards.get_mut(shard) {
-            s.pop_ns += now.duration_since(t0).as_nanos() as u64;
-            s.pops += 1;
-            s.peak_queue = s.peak_queue.max(queue_len);
-        }
+        let s = &mut self.stats;
+        s.pop_ns += now.duration_since(t0).as_nanos() as u64;
+        s.pops += 1;
+        s.peak_queue = s.peak_queue.max(queue_len);
         Stamp(Some(now))
     }
 
     /// Closes the dispatch interval opened by [`EngineProfiler::lap_pop`],
-    /// attributing it to `shard` and dispatch phase `phase` (an index
-    /// into [`DISPATCH_PHASES`]).
-    pub fn lap_dispatch(&mut self, stamp: Stamp, shard: usize, phase: usize) {
+    /// attributing it to dispatch phase `phase` (an index into
+    /// [`DISPATCH_PHASES`]).
+    pub fn lap_dispatch(&mut self, stamp: Stamp, phase: usize) {
         let Some(t1) = stamp.0 else {
             return;
         };
         let elapsed = t1.elapsed().as_nanos() as u64;
-        if let Some(s) = self.shards.get_mut(shard) {
-            if let Some(slot) = s.dispatch_ns.get_mut(phase) {
-                *slot += elapsed;
-                s.dispatch_events[phase] += 1;
-            }
+        let s = &mut self.stats;
+        if let Some(slot) = s.dispatch_ns.get_mut(phase) {
+            *slot += elapsed;
+            s.dispatch_events[phase] += 1;
         }
     }
 
@@ -149,12 +139,17 @@ impl EngineProfiler {
     /// Freezes the attribution into a plain-data [`EngineProfile`].
     /// `events` is the engine's total processed-event count; `gauges`
     /// carries engine occupancy facts (arena/calendar) the profiler
-    /// cannot see itself.
+    /// cannot see itself. A disabled profiler yields no sections.
+    ///
+    /// Event-loop rows keep the schema-v1 shape of `profile.jsonl`
+    /// (`"shard":0`, `calendar.peak_len.shard0`): the engine runs one
+    /// event queue, which the format calls shard 0.
     #[must_use]
     pub fn finish(&self, events: u64, mut gauges: Vec<(String, i64)>) -> EngineProfile {
         let mut sections = Vec::new();
-        for (i, s) in self.shards.iter().enumerate() {
-            let shard = Some(i as u32);
+        if self.enabled {
+            let s = &self.stats;
+            let shard = Some(0);
             sections.push(("engine.next_event".to_string(), shard, s.pops, s.pop_ns));
             for (p, label) in DISPATCH_PHASES.iter().enumerate() {
                 if s.dispatch_events[p] > 0 {
@@ -166,13 +161,12 @@ impl EngineProfiler {
                     ));
                 }
             }
-            gauges.push((format!("calendar.peak_len.shard{i}"), s.peak_queue as i64));
+            gauges.push(("calendar.peak_len.shard0".to_string(), s.peak_queue as i64));
         }
         for (name, evts, ns) in &self.external {
             sections.push((name.clone(), None, *evts, *ns));
         }
         EngineProfile {
-            shards: self.shards.len(),
             events,
             sections,
             gauges,
@@ -185,11 +179,10 @@ impl EngineProfiler {
 /// back by `icpda_obs::profile`).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct EngineProfile {
-    /// Shard count of the profiled run.
-    pub shards: usize,
     /// Events the engine processed.
     pub events: u64,
-    /// `(name, shard, events, wall_ns)` attribution rows.
+    /// `(name, shard, events, wall_ns)` attribution rows; event-loop
+    /// rows carry shard `Some(0)`, host-side sections `None`.
     pub sections: Vec<(String, Option<u32>, u64, u64)>,
     /// Engine occupancy gauges (arena outstanding, calendar peaks, ...).
     pub gauges: Vec<(String, i64)>,
@@ -207,9 +200,8 @@ impl EngineProfile {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\"kind\":\"meta\",\"schema_version\":{},\"shards\":{},\"events\":{}",
+            "{{\"kind\":\"meta\",\"schema_version\":{},\"shards\":1,\"events\":{}",
             icpda_obs::export::OBS_SCHEMA_VERSION,
-            self.shards,
             self.events
         );
         if let Some(rss) = self.rss_hwm_bytes {
@@ -263,29 +255,29 @@ mod tests {
 
     #[test]
     fn disabled_profiler_issues_empty_stamps_and_empty_profile() {
-        let mut p = EngineProfiler::new(false, 4);
+        let mut p = EngineProfiler::new(false);
         assert!(!p.enabled());
         let s = p.lap_start();
-        let s = p.lap_pop(s, 0, 10);
-        p.lap_dispatch(s, 0, 3);
+        let s = p.lap_pop(s, 10);
+        p.lap_dispatch(s, 3);
         p.record_external("setup.neighbor_build", 1, 1_000_000);
         let profile = p.finish(99, Vec::new());
-        assert_eq!(profile.shards, 0);
         assert!(profile.sections.is_empty());
+        assert!(profile.gauges.is_empty());
         assert_eq!(profile.events, 99);
     }
 
     #[test]
-    fn enabled_profiler_attributes_per_shard_and_phase() {
-        let mut p = EngineProfiler::new(true, 2);
+    fn enabled_profiler_attributes_per_phase() {
+        let mut p = EngineProfiler::new(true);
         for _ in 0..3 {
             let s = p.lap_start();
-            let s = p.lap_pop(s, 1, 7);
-            p.lap_dispatch(s, 1, 3); // delivery
+            let s = p.lap_pop(s, 7);
+            p.lap_dispatch(s, 3); // delivery
         }
         let s = p.lap_start();
-        let s = p.lap_pop(s, 0, 2);
-        p.lap_dispatch(s, 0, 0); // timer
+        let s = p.lap_pop(s, 2);
+        p.lap_dispatch(s, 0); // timer
         p.record_external("setup.neighbor_build", 1, 5_000);
         let profile = p.finish(4, vec![("arena.peak_outstanding".into(), 12)]);
 
@@ -296,17 +288,17 @@ mod tests {
                 .find(|(n, s, _, _)| n == name && *s == shard)
                 .map(|(_, _, events, _)| *events)
         };
-        assert_eq!(find("engine.next_event", Some(1)), Some(3));
-        assert_eq!(find("engine.dispatch.delivery", Some(1)), Some(3));
+        assert_eq!(find("engine.next_event", Some(0)), Some(4));
+        assert_eq!(find("engine.dispatch.delivery", Some(0)), Some(3));
         assert_eq!(find("engine.dispatch.timer", Some(0)), Some(1));
         // Phases with zero events are omitted, externals carry no shard.
         assert_eq!(find("engine.dispatch.redelivery", Some(0)), None);
         assert_eq!(find("setup.neighbor_build", None), Some(1));
-        // Occupancy gauges: caller-provided plus per-shard queue peaks.
+        // Occupancy gauges: caller-provided plus the queue peak.
         assert!(profile
             .gauges
             .iter()
-            .any(|(n, v)| n == "calendar.peak_len.shard1" && *v == 7));
+            .any(|(n, v)| n == "calendar.peak_len.shard0" && *v == 7));
         assert!(profile
             .gauges
             .iter()
@@ -315,14 +307,16 @@ mod tests {
 
     #[test]
     fn profile_jsonl_round_trips_through_the_obs_reader() {
-        let mut p = EngineProfiler::new(true, 1);
+        let mut p = EngineProfiler::new(true);
         let s = p.lap_start();
-        let s = p.lap_pop(s, 0, 3);
-        p.lap_dispatch(s, 0, 1);
+        let s = p.lap_pop(s, 3);
+        p.lap_dispatch(s, 1);
         let profile = p.finish(1, vec![("arena.peak_outstanding".into(), 2)]);
         let text = profile.to_jsonl();
+        // Schema v1 meta and row shape: one queue, written as shard 0.
+        assert!(text.contains("\"shards\":1,"), "{text}");
+        assert!(text.contains("\"shard\":0,"), "{text}");
         let run = icpda_obs::profile::parse_profile(&text).expect("parse back");
-        assert_eq!(run.shards, 1);
         assert_eq!(run.events, 1);
         assert_eq!(run.sections.len(), profile.sections.len());
         assert!(run

@@ -27,7 +27,7 @@ use crate::fault::FaultPlan;
 use crate::frame::{Destination, Frame};
 use crate::ids::NodeId;
 use crate::mac::MacConfig;
-use crate::metrics::{EnergyModel, Metrics};
+use crate::metrics::{EnergyModel, LossCause, Metrics};
 use crate::profile::{EngineProfile, EngineProfiler};
 use crate::radio::{LossModel, RadioConfig};
 use crate::time::{SimDuration, SimTime};
@@ -59,16 +59,8 @@ pub struct SimConfig {
     /// [`ObsLevel`]; `Off` by default — one branch per instrumentation
     /// point, no allocation, byte-identical engine behavior).
     pub obs_level: ObsLevel,
-    /// Spatial shards of the event loop: the deployment region is cut
-    /// into this many vertical strips, each with its own calendar queue,
-    /// merged in strict `(time, seq)` order. `0` and `1` both mean a
-    /// single shard. Any shard count produces **byte-identical** traces,
-    /// metrics and results — the merge is the same total event order the
-    /// single queue yields (see DESIGN §13 for the conservative-lookahead
-    /// argument this partitioning is built for).
-    pub shards: usize,
     /// Engine self-profiling (see [`crate::profile`]): wall-clock
-    /// attribution of pop/dispatch per shard, frozen into
+    /// attribution of pop/dispatch per event phase, frozen into
     /// `profile.jsonl` via [`Simulator::engine_profile`]. Host-facts
     /// only — the simulation never observes the readings, so traces stay
     /// byte-identical with profiling on or off.
@@ -211,12 +203,8 @@ pub struct Simulator<A: Application> {
     deployment: Deployment,
     config: SimConfig,
     now: SimTime,
-    /// One calendar queue per spatial shard; `next_event` merges them in
-    /// strict `(time, seq)` order, so the executed event sequence is
-    /// independent of the shard count.
-    queues: Vec<CalendarQueue<EventKind<A::Message>>>,
-    /// Shard index per node (all zeros for a single shard).
-    shard_of: Vec<u32>,
+    /// Pending events, popped in strict `(time, seq)` order.
+    queue: CalendarQueue<EventKind<A::Message>>,
     event_seq: u64,
     frame_seq: u64,
     next_timer_id: u64,
@@ -274,25 +262,6 @@ impl<A: Application> Simulator<A> {
         let rngs = vec![None; n];
         let mac = (0..n).map(|_| MacState::default()).collect();
         let down = vec![false; n];
-        let shards = config.shards.clamp(1, n.max(1));
-        let shard_of = if shards == 1 {
-            vec![0u32; n]
-        } else {
-            // Vertical strips of equal width: radio range bounds how fast
-            // events propagate between strips, which is the conservative
-            // lookahead window DESIGN §13 builds on. The cut only affects
-            // which queue holds an event, never its execution order.
-            let width = deployment.region().width.max(f64::MIN_POSITIVE);
-            (0..n)
-                .map(|i| {
-                    let x = deployment.position(NodeId::new(i as u32)).x;
-                    (((x / width) * shards as f64) as usize).min(shards - 1) as u32
-                })
-                .collect()
-        };
-        let queues = (0..shards)
-            .map(|_| CalendarQueue::for_nodes(n / shards + 1))
-            .collect();
         let mut trace = Trace::with_level(config.trace_capacity, config.trace_level);
         if config.flight_rounds > 0 && config.trace_level > TraceLevel::Off {
             trace.set_flight(config.flight_rounds);
@@ -304,8 +273,7 @@ impl<A: Application> Simulator<A> {
             deployment,
             config,
             now: SimTime::ZERO,
-            queues,
-            shard_of,
+            queue: CalendarQueue::for_nodes(n + 1),
             event_seq: 0,
             frame_seq: 0,
             next_timer_id: 0,
@@ -325,7 +293,7 @@ impl<A: Application> Simulator<A> {
             channel_rng: ChaCha8Rng::seed_from_u64(
                 seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xC4A2_2E10_5EED_0002,
             ),
-            profiler: EngineProfiler::new(config.profile, shards),
+            profiler: EngineProfiler::new(config.profile),
         }
     }
 
@@ -530,30 +498,11 @@ impl<A: Application> Simulator<A> {
         std::mem::take(&mut self.obs)
     }
 
-    /// Shard owning `kind`: the shard of the node the event acts on
-    /// (a delivery belongs to its transmitter's shard — the receivers'
-    /// in-flight records were already written at transmission start).
-    fn shard_of_kind(&self, kind: &EventKind<A::Message>) -> usize {
-        if self.queues.len() == 1 {
-            return 0;
-        }
-        let node = match kind {
-            EventKind::Timer { node, .. }
-            | EventKind::MacAttempt { node }
-            | EventKind::TxEnd { node }
-            | EventKind::FaultEdge { node }
-            | EventKind::Redelivery { node, .. } => *node,
-            EventKind::Delivery { frame, .. } => frame.src,
-        };
-        self.shard_of[node.index()] as usize
-    }
-
     fn schedule(&mut self, time: SimTime, kind: EventKind<A::Message>) {
         debug_assert!(time >= self.now, "scheduling into the past");
         let seq = self.event_seq;
         self.event_seq += 1;
-        let shard = self.shard_of_kind(&kind);
-        self.queues[shard].push(time, seq, kind);
+        self.queue.push(time, seq, kind);
     }
 
     /// Runs `on_start` on every node (idempotent; run_* call it lazily).
@@ -576,16 +525,7 @@ impl<A: Application> Simulator<A> {
             for i in 0..self.apps.len() {
                 let node = NodeId::new(i as u32);
                 if self.fault_plan.is_down(node, SimTime::ZERO) {
-                    self.down[i] = true;
-                    self.metrics.note_down();
-                    if self.trace.wants(TraceLevel::Metrics) {
-                        self.trace
-                            .record(SimTime::ZERO, TraceKind::NodeDown { node });
-                    }
-                    if self.obs.wants(ObsLevel::Full) {
-                        let snap = obs_snap(&self.metrics, node);
-                        self.obs.span_start("engine.outage", node.as_u32(), 0, snap);
-                    }
+                    self.node_down(node);
                 }
             }
         }
@@ -606,34 +546,54 @@ impl<A: Application> Simulator<A> {
         if now_down == self.down[i] {
             return;
         }
-        self.down[i] = now_down;
         if self.obs.wants(ObsLevel::Full) {
             self.obs.inc("engine.fault_edges");
-            let snap = obs_snap(&self.metrics, node);
-            let t = self.now.as_nanos();
-            if now_down {
-                self.obs.span_start("engine.outage", node.as_u32(), t, snap);
-            } else {
-                self.obs.span_end("engine.outage", node.as_u32(), t, snap);
-            }
         }
         if now_down {
-            self.metrics.note_down();
-            if self.trace.wants(TraceLevel::Metrics) {
-                self.trace.record(self.now, TraceKind::NodeDown { node });
-            }
-            // Battery pulled: queued frames and backoff state are lost.
-            // In-flight reception records are kept so the delivery
-            // bookkeeping stays consistent; the delivery path discards
-            // them.
-            let st = &mut self.mac[i];
-            st.queue.clear();
-            st.attempts = 0;
-        } else {
-            self.metrics.note_up();
-            if self.trace.wants(TraceLevel::Metrics) {
-                self.trace.record(self.now, TraceKind::NodeUp { node });
-            }
+            self.node_down(node);
+            return;
+        }
+        self.down[i] = false;
+        self.metrics.note_up();
+        if self.trace.wants(TraceLevel::Metrics) {
+            self.trace.record(self.now, TraceKind::NodeUp { node });
+        }
+        if self.obs.wants(ObsLevel::Full) {
+            let snap = obs_snap(&self.metrics, node);
+            self.obs
+                .span_end("engine.outage", node.as_u32(), self.now.as_nanos(), snap);
+        }
+    }
+
+    /// Takes `node` down at the current time: the one recording point of
+    /// a down edge (alive count, `NodeDown` trace, outage span).
+    fn node_down(&mut self, node: NodeId) {
+        self.down[node.index()] = true;
+        self.metrics.note_down();
+        if self.trace.wants(TraceLevel::Metrics) {
+            self.trace.record(self.now, TraceKind::NodeDown { node });
+        }
+        if self.obs.wants(ObsLevel::Full) {
+            let snap = obs_snap(&self.metrics, node);
+            self.obs
+                .span_start("engine.outage", node.as_u32(), self.now.as_nanos(), snap);
+        }
+        // Battery pulled: queued frames and backoff state are lost.
+        // In-flight reception records are kept so the delivery
+        // bookkeeping stays consistent; the delivery path discards them.
+        let st = &mut self.mac[node.index()];
+        st.queue.clear();
+        st.attempts = 0;
+    }
+
+    /// Records that frame `seq` is lost at receiver `node`: the per-node
+    /// cause counter and, at full trace level, `FrameLost`. The one
+    /// recording point of every reception loss.
+    fn lose(&mut self, node: NodeId, seq: u64, cause: LossCause) {
+        *self.metrics.node_mut(node).lost_mut(cause) += 1;
+        if self.trace.wants(TraceLevel::Full) {
+            self.trace
+                .record(self.now, TraceKind::FrameLost { node, seq, cause });
         }
     }
 
@@ -798,34 +758,14 @@ impl<A: Application> Simulator<A> {
             if self.down[r.index()] {
                 // The receiver's radio is off: the frame is lost to it and
                 // it does not even sense the medium.
-                self.metrics.node_mut(r).lost_receiver_down += 1;
-                if self.trace.wants(TraceLevel::Full) {
-                    self.trace.record(
-                        now,
-                        TraceKind::FrameLost {
-                            node: r,
-                            seq: frame.seq,
-                            cause: crate::metrics::LossCause::ReceiverDown,
-                        },
-                    );
-                }
+                self.lose(r, frame.seq, LossCause::ReceiverDown);
                 continue;
             }
             let rst = &mut self.mac[r.index()];
             rst.medium_busy_until = rst.medium_busy_until.max(end);
             if rst.tx_busy_until > now {
                 // Half-duplex: receiver is transmitting, frame missed.
-                self.metrics.node_mut(r).lost_half_duplex += 1;
-                if self.trace.wants(TraceLevel::Full) {
-                    self.trace.record(
-                        now,
-                        TraceKind::FrameLost {
-                            node: r,
-                            seq: frame.seq,
-                            cause: crate::metrics::LossCause::HalfDuplex,
-                        },
-                    );
-                }
+                self.lose(r, frame.seq, LossCause::HalfDuplex);
                 continue;
             }
             // Collision: overlap with any in-flight reception corrupts both.
@@ -901,31 +841,11 @@ impl<A: Application> Simulator<A> {
         let record = st.rx_in_flight.swap_remove(idx);
         if self.down[node.index()] {
             // The node died while the frame was in the air.
-            self.metrics.node_mut(node).lost_receiver_down += 1;
-            if self.trace.wants(TraceLevel::Full) {
-                self.trace.record(
-                    self.now,
-                    TraceKind::FrameLost {
-                        node,
-                        seq: frame.seq,
-                        cause: crate::metrics::LossCause::ReceiverDown,
-                    },
-                );
-            }
+            self.lose(node, frame.seq, LossCause::ReceiverDown);
             return;
         }
         if record.corrupted {
-            self.metrics.node_mut(node).lost_collision += 1;
-            if self.trace.wants(TraceLevel::Full) {
-                self.trace.record(
-                    self.now,
-                    TraceKind::FrameLost {
-                        node,
-                        seq: frame.seq,
-                        cause: crate::metrics::LossCause::Collision,
-                    },
-                );
-            }
+            self.lose(node, frame.seq, LossCause::Collision);
             return;
         }
         // Channel-plan loss gauntlet: link windows, the bursty chain and
@@ -935,17 +855,7 @@ impl<A: Application> Simulator<A> {
         if !self.channel_plan.is_empty() {
             let link = self.channel_plan.link_loss(frame.src, node, self.now);
             if link > 0.0 && self.channel_rng.gen::<f64>() < link {
-                self.metrics.node_mut(node).lost_stochastic += 1;
-                if self.trace.wants(TraceLevel::Full) {
-                    self.trace.record(
-                        self.now,
-                        TraceKind::FrameLost {
-                            node,
-                            seq: frame.seq,
-                            cause: crate::metrics::LossCause::Stochastic,
-                        },
-                    );
-                }
+                self.lose(node, frame.seq, LossCause::Stochastic);
                 return;
             }
             if self.channel_plan.gilbert_elliott().is_some()
@@ -953,17 +863,7 @@ impl<A: Application> Simulator<A> {
                     .channel_plan
                     .ge_drops(&mut self.channel_rng, &mut self.ge_bad[node.index()])
             {
-                self.metrics.node_mut(node).lost_stochastic += 1;
-                if self.trace.wants(TraceLevel::Full) {
-                    self.trace.record(
-                        self.now,
-                        TraceKind::FrameLost {
-                            node,
-                            seq: frame.seq,
-                            cause: crate::metrics::LossCause::Stochastic,
-                        },
-                    );
-                }
+                self.lose(node, frame.seq, LossCause::Stochastic);
                 return;
             }
             let corrupt = self.channel_plan.corruption();
@@ -974,17 +874,7 @@ impl<A: Application> Simulator<A> {
                 let stored = frame_checksum(frame.seq, frame.src.as_u32(), frame.size_bytes);
                 let syndrome = self.channel_rng.gen::<u32>() | 1;
                 debug_assert_ne!(corrupted_checksum(stored, syndrome), stored);
-                self.metrics.node_mut(node).lost_corrupt += 1;
-                if self.trace.wants(TraceLevel::Full) {
-                    self.trace.record(
-                        self.now,
-                        TraceKind::FrameLost {
-                            node,
-                            seq: frame.seq,
-                            cause: crate::metrics::LossCause::Corrupt,
-                        },
-                    );
-                }
+                self.lose(node, frame.seq, LossCause::Corrupt);
                 return;
             }
         }
@@ -997,17 +887,7 @@ impl<A: Application> Simulator<A> {
             rng_at(&mut self.rngs, self.seed, node.index()),
             distance_ratio,
         ) {
-            self.metrics.node_mut(node).lost_stochastic += 1;
-            if self.trace.wants(TraceLevel::Full) {
-                self.trace.record(
-                    self.now,
-                    TraceKind::FrameLost {
-                        node,
-                        seq: frame.seq,
-                        cause: crate::metrics::LossCause::Stochastic,
-                    },
-                );
-            }
+            self.lose(node, frame.seq, LossCause::Stochastic);
             return;
         }
         // Delivery mutations: a surviving reception can be held back
@@ -1088,17 +968,7 @@ impl<A: Application> Simulator<A> {
     /// only the receiver dying in the meantime can still lose it.
     fn handle_redelivery(&mut self, node: NodeId, frame: &Frame<A::Message>) {
         if self.down[node.index()] {
-            self.metrics.node_mut(node).lost_receiver_down += 1;
-            if self.trace.wants(TraceLevel::Full) {
-                self.trace.record(
-                    self.now,
-                    TraceKind::FrameLost {
-                        node,
-                        seq: frame.seq,
-                        cause: crate::metrics::LossCause::ReceiverDown,
-                    },
-                );
-            }
+            self.lose(node, frame.seq, LossCause::ReceiverDown);
             return;
         }
         let on_air = self.config.radio.on_air_bytes(frame.size_bytes) as u64;
@@ -1144,40 +1014,27 @@ impl<A: Application> Simulator<A> {
     }
 
     /// Pops and executes the next due event, if any is due at or before
-    /// `deadline`. Returns `false` when the queues are empty or the next
+    /// `deadline`. Returns `false` when the queue is empty or the next
     /// event lies beyond the deadline. This is the single pop site shared
     /// by [`Simulator::step`], [`Simulator::run_until`] and
-    /// [`Simulator::run_to_quiescence`]. With multiple shards this is the
-    /// k-way merge: the argmin over per-shard heads on `(time, seq)` keys
-    /// reproduces the exact total order a single queue would yield.
+    /// [`Simulator::run_to_quiescence`].
     fn next_event(&mut self, deadline: SimTime) -> bool {
-        // Stamped before the argmin so pop attribution covers the whole
-        // k-way merge; iterations that find no due event discard it.
+        // Stamped before the peek so pop attribution covers the whole
+        // calendar pop; iterations that find no due event discard it.
         let t0 = self.profiler.lap_start();
-        let mut best: Option<((SimTime, u64), usize)> = None;
-        for s in 0..self.queues.len() {
-            if let Some(key) = self.queues[s].peek_key() {
-                if best.is_none_or(|(bk, _)| key < bk) {
-                    best = Some((key, s));
-                }
-            }
+        match self.queue.peek_key() {
+            Some((time, _)) if time <= deadline => {}
+            _ => return false,
         }
-        let Some(((time, _), shard)) = best else {
-            return false;
-        };
-        if time > deadline {
-            return false;
-        }
-        let Some((time, _seq, kind)) = self.queues[shard].pop() else {
+        let Some((time, _seq, kind)) = self.queue.pop() else {
             return false;
         };
         debug_assert!(time >= self.now, "event time went backwards");
         self.now = time;
         if self.profiler.enabled() {
-            // Pop attribution covers the k-way merge plus the calendar
-            // pop; the queue length sampled here feeds the occupancy
-            // gauge. Dispatch attribution is keyed by the event phase.
-            let queue_len = self.queues[shard].len();
+            // The queue length sampled here feeds the occupancy gauge.
+            // Dispatch attribution is keyed by the event phase.
+            let queue_len = self.queue.len();
             let phase = match &kind {
                 EventKind::Timer { .. } => 0,
                 EventKind::MacAttempt { .. } => 1,
@@ -1186,9 +1043,9 @@ impl<A: Application> Simulator<A> {
                 EventKind::FaultEdge { .. } => 4,
                 EventKind::Redelivery { .. } => 5,
             };
-            let t1 = self.profiler.lap_pop(t0, shard, queue_len);
+            let t1 = self.profiler.lap_pop(t0, queue_len);
             self.execute(kind);
-            self.profiler.lap_dispatch(t1, shard, phase);
+            self.profiler.lap_dispatch(t1, phase);
         } else {
             self.execute(kind);
         }

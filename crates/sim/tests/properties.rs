@@ -68,37 +68,69 @@ proptest! {
         }
     }
 
-    /// Conservation: every on-air byte transmitted is accounted; received
-    /// + overheard + lost receptions equals scheduled receptions.
+    /// Conservation: every reception a transmission schedules is
+    /// accounted exactly once — received, overheard, or lost with one of
+    /// the five reception causes. Checked on the plain channel and again
+    /// under crashes, outages, Gilbert–Elliott loss, corruption and
+    /// reordering (duplication is left out: it delivers twice by design).
     #[test]
     fn reception_accounting_is_conservative(
         positions in arb_positions(30),
         seed in 0u64..1_000,
+        (faults, ge_rate, corrupt, reorder) in (
+            prop::collection::vec((1u32..30, 0u64..20, 1u64..20, any::<bool>()), 0..6),
+            0.0f64..0.3,
+            0.0f64..0.1,
+            0.0f64..0.2,
+        ),
     ) {
         let pts: Vec<Point> = positions.iter().map(|&(x, y)| Point::new(x, y)).collect();
-        let dep = Deployment::from_positions(pts, Region::new(300.0, 300.0), 70.0);
-        // Count expected receptions: each transmitted frame should appear
-        // at each neighbour exactly once, in some bucket.
-        let degree0: Vec<usize> = dep.node_ids().map(|i| dep.degree(i)).collect();
-        let mut sim = Simulator::new(dep, SimConfig::paper_default(), seed, |_| Flood::default());
-        sim.run_to_quiescence(SimTime::from_secs(600));
-        let m = sim.metrics();
-        let expected_receptions: u64 = sim
-            .apps()
-            .map(|(id, _)| m.node(id).frames_sent * degree0[id.index()] as u64)
-            .sum();
-        let accounted: u64 = sim
-            .apps()
-            .map(|(id, _)| {
-                let nm = m.node(id);
-                nm.frames_received
-                    + nm.frames_overheard
-                    + nm.lost_collision
-                    + nm.lost_stochastic
-                    + nm.lost_half_duplex
-            })
-            .sum();
-        prop_assert_eq!(expected_receptions, accounted);
+        let n = pts.len() as u32;
+        let mut fault_plan = FaultPlan::none();
+        for &(node, start, len, crash) in &faults {
+            // Node 0 is immortal; start 0 takes a node down before `on_start`.
+            let node = NodeId::new(1 + node % (n - 1));
+            let from = SimTime::ZERO + SimDuration::from_millis(2 * start);
+            if crash {
+                fault_plan.crash(node, from).expect("valid crash");
+            } else {
+                let until = from + SimDuration::from_millis(len);
+                fault_plan.outage(node, from, until).expect("valid outage");
+            }
+        }
+        let channel_plan = ChannelPlan::bursty(ge_rate, 0.5)
+            .and_then(|p| p.with_corruption(corrupt))
+            .and_then(|p| p.with_reordering(reorder, SimDuration::from_millis(2)))
+            .expect("valid channel plan");
+        for impaired in [false, true] {
+            let dep = Deployment::from_positions(pts.clone(), Region::new(300.0, 300.0), 70.0);
+            let degree0: Vec<usize> = dep.node_ids().map(|i| dep.degree(i)).collect();
+            let mut sim =
+                Simulator::new(dep, SimConfig::paper_default(), seed, |_| Flood::default());
+            if impaired {
+                sim.set_fault_plan(fault_plan.clone());
+                sim.set_channel_plan(channel_plan.clone());
+            }
+            sim.run_to_quiescence(SimTime::from_secs(600));
+            let m = sim.metrics();
+            // Each transmitted frame should appear at each neighbour
+            // exactly once, in some bucket.
+            let expected_receptions: u64 = m
+                .iter()
+                .map(|(id, nm)| nm.frames_sent * degree0[id.index()] as u64)
+                .sum();
+            let delivered: u64 = m
+                .iter()
+                .map(|(_, nm)| nm.frames_received + nm.frames_overheard)
+                .sum();
+            // `MacDrop` is a sender-side drop: the frame never went on air.
+            let lost: u64 = LossCause::ALL
+                .into_iter()
+                .filter(|&c| c != LossCause::MacDrop)
+                .map(|c| m.total_lost(c))
+                .sum();
+            prop_assert_eq!(expected_receptions, delivered + lost);
+        }
     }
 
     /// The flat-grid adjacency build equals brute-force O(N²) adjacency

@@ -115,6 +115,8 @@ const HOT_PATHS: [(&str, &[&str]); 3] = [
             "handle_redelivery",
             "execute",
             "next_event",
+            "lose",
+            "node_down",
         ],
     ),
     // The calendar queue and frame arena exist precisely to keep the
