@@ -2254,6 +2254,12 @@ impl Application for IcpdaNode {
         }
     }
 
+    /// Only `Upstream` reports are audited; every other overheard frame
+    /// matters only as a liveness signal for crash recovery.
+    fn overhears(&self, msg: &IcpdaMsg) -> bool {
+        self.config.crash_recovery || matches!(msg, IcpdaMsg::Upstream { .. })
+    }
+
     fn on_overhear(&mut self, ctx: &mut Context<'_, IcpdaMsg>, frame: &Frame<IcpdaMsg>) {
         if self.config.crash_recovery {
             self.note_frame_from(frame.src);

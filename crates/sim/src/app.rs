@@ -11,7 +11,8 @@ use crate::frame::{Destination, Frame, WireSize};
 use crate::ids::NodeId;
 use crate::metrics::Metrics;
 use crate::time::{SimDuration, SimTime};
-use icpda_obs::{Obs, SpanSnapshot};
+use icpda_obs::{Obs, ObsLevel, SpanSnapshot};
+use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
 use std::sync::Arc;
@@ -21,8 +22,115 @@ use std::sync::Arc;
 pub type TimerToken = u64;
 
 /// Handle to a scheduled timer, usable with [`Context::cancel_timer`].
+/// Opaque: it packs the timer's slab slot and its generation.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct TimerId(pub(crate) u64);
+pub struct TimerId(u64);
+
+impl TimerId {
+    fn new(slot: u32, generation: u32) -> Self {
+        TimerId(u64::from(generation) << 32 | u64::from(slot))
+    }
+
+    fn slot(self) -> usize {
+        (self.0 & u64::from(u32::MAX)) as usize
+    }
+
+    fn generation(self) -> u32 {
+        (self.0 >> 32) as u32
+    }
+}
+
+/// A slot word holding a timer: this bit, the live bit, and the timer's
+/// generation in the low 30 bits. A free slot's word is instead the
+/// index of the next free slot, or [`NO_FREE`].
+const OCCUPIED: u32 = 1 << 31;
+/// Set while the slot's timer will still fire (cleared by a cancel).
+const LIVE: u32 = 1 << 30;
+const GENERATION: u32 = LIVE - 1;
+/// End of the free list.
+const NO_FREE: u32 = OCCUPIED - 1;
+
+/// Pending timers, one 4-byte slot each. Setting a timer takes a free
+/// slot, stamps it with the next generation and marks it live;
+/// cancelling clears the live bit only when the handle's generation
+/// still matches; popping the timer's event frees the slot, fired or
+/// not. Every set draws a new generation, so a stale handle (its timer
+/// fired, or its slot now holds a newer timer) never touches a newer
+/// timer until the 30-bit counter wraps, a billion sets later. Free
+/// slots form a list threaded through the slot words themselves, so the
+/// slab holds at most as many slots as timers were ever pending at once.
+#[derive(Debug)]
+pub(crate) struct TimerSlab {
+    slots: Vec<u32>,
+    free: u32,
+    generation: u32,
+}
+
+impl Default for TimerSlab {
+    fn default() -> Self {
+        TimerSlab {
+            slots: Vec::new(),
+            free: NO_FREE,
+            generation: 0,
+        }
+    }
+}
+
+impl TimerSlab {
+    /// Takes a free slot for a new timer and marks it live.
+    pub(crate) fn set(&mut self) -> TimerId {
+        self.generation = (self.generation + 1) & GENERATION;
+        let word = OCCUPIED | LIVE | self.generation;
+        let slot = if self.free == NO_FREE {
+            self.slots.push(word);
+            debug_assert!(self.slots.len() <= NO_FREE as usize, "timer slab full");
+            (self.slots.len() - 1) as u32
+        } else {
+            let slot = self.free;
+            self.free = self.slots[slot as usize];
+            self.slots[slot as usize] = word;
+            slot
+        };
+        TimerId::new(slot, self.generation)
+    }
+
+    /// Stops the timer `id` from firing. A no-op for a handle whose timer
+    /// already fired or whose slot now holds a newer timer.
+    pub(crate) fn cancel(&mut self, id: TimerId) {
+        if let Some(word) = self.slots.get_mut(id.slot()) {
+            if *word == OCCUPIED | LIVE | id.generation() {
+                *word &= !LIVE;
+            }
+        }
+    }
+
+    /// Frees the slot of the timer whose event just popped and returns
+    /// whether that timer was still live (not cancelled).
+    pub(crate) fn fire(&mut self, id: TimerId) -> bool {
+        let word = &mut self.slots[id.slot()];
+        debug_assert_eq!(
+            *word & !LIVE,
+            OCCUPIED | id.generation(),
+            "timer popped twice"
+        );
+        let live = *word & LIVE != 0;
+        *word = self.free;
+        self.free = id.slot() as u32;
+        live
+    }
+
+    /// Slots allocated so far: the peak number of pending timers.
+    pub(crate) fn slots(&self) -> usize {
+        self.slots.len()
+    }
+}
+
+/// Derives node `i`'s RNG stream from the run seed. Every stream is
+/// materialised through here, on its first draw, so the sequence does
+/// not depend on when (or whether) other streams are materialised.
+pub(crate) fn node_rng(seed: u64, i: usize) -> ChaCha8Rng {
+    ChaCha8Rng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i as u64 + 1))
+}
 
 /// A node-local protocol state machine.
 ///
@@ -50,9 +158,24 @@ pub trait Application {
     );
 
     /// A frame addressed to *another* node was overheard (promiscuous
-    /// mode). The integrity layer's peer monitoring lives here.
+    /// mode). The integrity layer's peer monitoring lives here. Called
+    /// only for messages [`Application::overhears`] accepts.
     fn on_overhear(&mut self, ctx: &mut Context<'_, Self::Message>, frame: &Frame<Self::Message>) {
         let _ = (ctx, frame);
+    }
+
+    /// Whether this node wants [`Application::on_overhear`] for an
+    /// overheard `msg`. Declining skips only the callback: the reception
+    /// is still counted, charged receive energy and traced as delivered.
+    ///
+    /// It must return true for every message whose `on_overhear` has any
+    /// effect, including effects that do not depend on the message kind.
+    /// A protocol that treats every overheard frame as a liveness signal
+    /// of its sender, for example, must accept every message while that
+    /// tracking is on. The default accepts everything.
+    fn overhears(&self, msg: &Self::Message) -> bool {
+        let _ = msg;
+        true
     }
 
     /// A timer set via [`Context::set_timer`] fired.
@@ -113,17 +236,12 @@ pub(crate) enum Command<M> {
         token: TimerToken,
         id: TimerId,
     },
-    CancelTimer {
-        id: TimerId,
-    },
     /// Record an adversary-action trace note (see
     /// [`crate::trace::TraceKind::AdversaryAction`]). Buffered like every
     /// other side effect so the callback stays re-entrancy-free; the
     /// engine drops it unless the trace sink wants `Metrics`-level
     /// events.
-    TraceNote {
-        code: u8,
-    },
+    TraceNote { code: u8 },
 }
 
 /// The environment handed to every [`Application`] callback.
@@ -135,11 +253,14 @@ pub struct Context<'a, M> {
     pub(crate) now: SimTime,
     pub(crate) node: NodeId,
     pub(crate) neighbors: &'a [NodeId],
-    pub(crate) rng: &'a mut ChaCha8Rng,
+    /// The node's RNG slot, materialised by [`Context::rng`] on first use
+    /// so callbacks that never draw never derive the stream.
+    pub(crate) rng: &'a mut Option<ChaCha8Rng>,
+    pub(crate) seed: u64,
     pub(crate) metrics: &'a mut Metrics,
     pub(crate) obs: &'a mut Obs,
     pub(crate) commands: &'a mut Vec<Command<M>>,
-    pub(crate) next_timer_id: &'a mut u64,
+    pub(crate) timers: &'a mut TimerSlab,
 }
 
 impl<'a, M: WireSize> Context<'a, M> {
@@ -165,7 +286,8 @@ impl<'a, M: WireSize> Context<'a, M> {
 
     /// Deterministic per-node random source.
     pub fn rng(&mut self) -> &mut ChaCha8Rng {
-        self.rng
+        let (seed, i) = (self.seed, self.node.index());
+        self.rng.get_or_insert_with(|| node_rng(seed, i))
     }
 
     /// Protocol-level named counters (see [`Metrics::bump`]).
@@ -237,8 +359,7 @@ impl<'a, M: WireSize> Context<'a, M> {
 
     /// Schedules `on_timer(token)` to fire after `delay`.
     pub fn set_timer(&mut self, delay: SimDuration, token: TimerToken) -> TimerId {
-        let id = TimerId(*self.next_timer_id);
-        *self.next_timer_id += 1;
+        let id = self.timers.set();
         self.commands.push(Command::SetTimer {
             at: self.now + delay,
             token,
@@ -250,7 +371,10 @@ impl<'a, M: WireSize> Context<'a, M> {
     /// Cancels a previously scheduled timer. Cancelling an already-fired
     /// or unknown timer is a no-op.
     pub fn cancel_timer(&mut self, id: TimerId) {
-        self.commands.push(Command::CancelTimer { id });
+        if self.obs.wants(ObsLevel::Full) {
+            self.obs.inc("engine.timers_cancelled");
+        }
+        self.timers.cancel(id);
     }
 
     /// Records that this node exercised a malicious behaviour (an
@@ -265,38 +389,51 @@ impl<'a, M: WireSize> Context<'a, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
+    use rand::Rng;
 
-    fn harness<'a, M: WireSize>(
-        cmds: &'a mut Vec<Command<M>>,
-        rng: &'a mut ChaCha8Rng,
-        metrics: &'a mut Metrics,
-        obs: &'a mut Obs,
-        next_id: &'a mut u64,
-    ) -> Context<'a, M> {
-        Context {
-            now: SimTime::from_millis(5),
-            node: NodeId::new(2),
-            neighbors: &[],
-            rng,
-            metrics,
-            obs,
-            commands: cmds,
-            next_timer_id: next_id,
+    /// Owns everything a [`Context`] borrows, so tests can inspect it
+    /// after the context is dropped.
+    struct Harness<M> {
+        cmds: Vec<Command<M>>,
+        rng: Option<ChaCha8Rng>,
+        metrics: Metrics,
+        obs: Obs,
+        timers: TimerSlab,
+    }
+
+    impl<M: WireSize> Harness<M> {
+        fn new() -> Self {
+            Harness {
+                cmds: Vec::new(),
+                rng: None,
+                metrics: Metrics::new(4),
+                obs: Obs::off(),
+                timers: TimerSlab::default(),
+            }
+        }
+
+        fn ctx(&mut self) -> Context<'_, M> {
+            Context {
+                now: SimTime::from_millis(5),
+                node: NodeId::new(2),
+                neighbors: &[],
+                rng: &mut self.rng,
+                seed: 11,
+                metrics: &mut self.metrics,
+                obs: &mut self.obs,
+                commands: &mut self.cmds,
+                timers: &mut self.timers,
+            }
         }
     }
 
     #[test]
     fn send_records_wire_size() {
-        let mut cmds = Vec::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut metrics = Metrics::new(4);
-        let mut obs = Obs::off();
-        let mut next_id = 0;
-        let mut ctx = harness::<Vec<u8>>(&mut cmds, &mut rng, &mut metrics, &mut obs, &mut next_id);
+        let mut h = Harness::<Vec<u8>>::new();
+        let mut ctx = h.ctx();
         ctx.send(NodeId::new(1), vec![0; 9]);
         ctx.broadcast(vec![0; 3]);
-        match &cmds[0] {
+        match &h.cmds[0] {
             Command::Send {
                 dest, size_bytes, ..
             } => {
@@ -305,7 +442,7 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        match &cmds[1] {
+        match &h.cmds[1] {
             Command::Send {
                 dest, size_bytes, ..
             } => {
@@ -318,17 +455,13 @@ mod tests {
 
     #[test]
     fn shared_payload_caches_wire_size_and_allocation() {
-        let mut cmds = Vec::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut metrics = Metrics::new(4);
-        let mut obs = Obs::off();
-        let mut next_id = 0;
+        let mut h = Harness::<Vec<u8>>::new();
         let shared = SharedPayload::new(vec![0u8; 13]);
         assert_eq!(shared.size_bytes(), 13);
-        let mut ctx = harness::<Vec<u8>>(&mut cmds, &mut rng, &mut metrics, &mut obs, &mut next_id);
+        let mut ctx = h.ctx();
         ctx.send_shared(NodeId::new(1), &shared);
         ctx.broadcast_shared(&shared);
-        for cmd in &cmds {
+        for cmd in &h.cmds {
             match cmd {
                 Command::Send {
                     payload,
@@ -346,17 +479,15 @@ mod tests {
 
     #[test]
     fn timers_get_unique_ids_and_absolute_times() {
-        let mut cmds = Vec::new();
-        let mut rng = ChaCha8Rng::seed_from_u64(0);
-        let mut metrics = Metrics::new(4);
-        let mut obs = Obs::off();
-        let mut next_id = 0;
-        let mut ctx = harness::<()>(&mut cmds, &mut rng, &mut metrics, &mut obs, &mut next_id);
+        let mut h = Harness::<()>::new();
+        let mut ctx = h.ctx();
         let a = ctx.set_timer(SimDuration::from_millis(10), 7);
         let b = ctx.set_timer(SimDuration::from_millis(20), 8);
         assert_ne!(a, b);
         ctx.cancel_timer(a);
-        match &cmds[0] {
+        // Cancelling acts on the slab directly; only the sets are queued.
+        assert_eq!(h.cmds.len(), 2);
+        match &h.cmds[0] {
             Command::SetTimer { at, token, id } => {
                 assert_eq!(*at, SimTime::from_millis(15));
                 assert_eq!(*token, 7);
@@ -364,6 +495,26 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(matches!(&cmds[2], Command::CancelTimer { id } if *id == a));
+        assert!(!h.timers.fire(a), "cancelled timer must not fire");
+        assert!(h.timers.fire(b));
+    }
+
+    #[test]
+    fn rng_materialises_on_first_draw_only() {
+        let mut h = Harness::<()>::new();
+        let mut ctx = h.ctx();
+        ctx.broadcast(());
+        let _ = ctx.set_timer(SimDuration::from_millis(1), 0);
+        assert!(
+            h.rng.is_none(),
+            "a callback that never draws leaves the slot empty"
+        );
+
+        let mut ctx = h.ctx();
+        let drawn: Vec<u64> = (0..4).map(|_| ctx.rng().gen()).collect();
+        let mut reference = node_rng(11, 2);
+        let expected: Vec<u64> = (0..4).map(|_| reference.gen()).collect();
+        assert_eq!(drawn, expected, "lazy stream equals node_rng(seed, i)");
+        assert!(h.rng.is_some());
     }
 }

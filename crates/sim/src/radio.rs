@@ -153,6 +153,14 @@ impl LossModel {
         Ok(LossModel::DistanceDependent { alpha, edge_loss })
     }
 
+    /// Whether [`LossModel::drops`] samples the RNG. False only for
+    /// [`LossModel::None`], which never drops, so callers can skip
+    /// computing the distance ratio for it.
+    #[must_use]
+    pub(crate) fn draws(&self) -> bool {
+        !matches!(self, LossModel::None)
+    }
+
     /// Samples whether a reception over `distance_ratio = d/r ∈ [0, 1]`
     /// is lost. Parameters are clamped into range defensively; use the
     /// validating constructors to reject bad values up front.

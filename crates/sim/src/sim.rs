@@ -17,9 +17,20 @@
 //! * **Half-duplex** — a node that is transmitting cannot receive.
 //! * **Promiscuous overhearing** — every successfully received frame is
 //!   delivered: as [`Application::on_message`] if addressed to the node,
-//!   as [`Application::on_overhear`] otherwise.
+//!   as [`Application::on_overhear`] otherwise. The overhear callback runs
+//!   only for messages [`Application::overhears`] accepts; declined
+//!   receptions are still counted, charged and traced.
+//!
+//! # Work the engine skips
+//!
+//! Per-reception and per-timer paths skip work whose result would be
+//! discarded: declined overhears skip the callback, a callback that never
+//! draws never materialises its node's RNG stream, `LossModel::None`
+//! neither measures the link distance nor touches the receiver's RNG,
+//! and timers live in a slab of reusable slots instead of an ordered
+//! set. None of this changes a draw, a trace entry or a counter.
 
-use crate::app::{Application, Command, Context, TimerId, TimerToken};
+use crate::app::{node_rng, Application, Command, Context, TimerId, TimerSlab, TimerToken};
 use crate::arena::{ArenaStats, FrameArena};
 use crate::calendar::CalendarQueue;
 use crate::channel::{corrupted_checksum, frame_checksum, ChannelPlan};
@@ -36,7 +47,7 @@ use crate::trace::{Trace, TraceKind, TraceLevel};
 use icpda_obs::{Obs, ObsLevel, SpanSnapshot};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Engine-level configuration: radio, MAC, loss and energy models.
 #[derive(Clone, Copy, Debug, Default)]
@@ -207,20 +218,18 @@ pub struct Simulator<A: Application> {
     queue: CalendarQueue<EventKind<A::Message>>,
     event_seq: u64,
     frame_seq: u64,
-    next_timer_id: u64,
-    /// Ids of timers that are scheduled and not yet fired or cancelled.
-    /// A timer fires iff its id is still here at fire time; firing and
-    /// cancelling both *remove*, so the set is bounded by the number of
-    /// pending timers (cancelling an already-fired timer is a no-op
-    /// rather than a permanently retained tombstone).
-    live_timers: BTreeSet<u64>,
+    /// One slot per pending timer (see [`TimerSlab`]): a timer fires iff
+    /// its slot is still live when its event pops, and the pop frees the
+    /// slot, so the slab is bounded by the peak number of pending timers.
+    timers: TimerSlab,
     /// Reused buffer for callback commands (drained after every
     /// callback), so the dispatch hot path allocates nothing per event.
     command_buf: Vec<Command<A::Message>>,
     apps: Vec<A>,
-    /// Per-node RNG streams, materialised lazily: deriving 50k ChaCha8
-    /// states up front dominates `Simulator::new` at scale, and most
-    /// streams are first drawn from well after start. The derivation in
+    /// Per-node RNG streams, materialised lazily on first draw (by
+    /// [`rng_at`] in the engine, by [`Context::rng`] in callbacks):
+    /// deriving 50k ChaCha8 states up front dominates `Simulator::new` at
+    /// scale, and most callbacks never draw. The derivation in
     /// [`node_rng`] is untouched, so the draws are byte-identical to the
     /// eager build.
     rngs: Vec<Option<ChaCha8Rng>>,
@@ -276,8 +285,7 @@ impl<A: Application> Simulator<A> {
             queue: CalendarQueue::for_nodes(n + 1),
             event_seq: 0,
             frame_seq: 0,
-            next_timer_id: 0,
-            live_timers: BTreeSet::new(),
+            timers: TimerSlab::default(),
             command_buf: Vec::new(),
             apps,
             rngs,
@@ -374,6 +382,13 @@ impl<A: Application> Simulator<A> {
     #[must_use]
     pub fn events_processed(&self) -> u64 {
         self.events_processed
+    }
+
+    /// Slots the timer slab has allocated: the peak number of timers
+    /// that were pending (set, and their event not yet popped) at once.
+    #[must_use]
+    pub fn timer_slots(&self) -> usize {
+        self.timers.slots()
     }
 
     /// Marks a frame-arena epoch boundary (typically a protocol round):
@@ -604,16 +619,16 @@ impl<A: Application> Simulator<A> {
     fn with_ctx(&mut self, node: NodeId, f: impl FnOnce(&mut A, &mut Context<'_, A::Message>)) {
         let mut commands = std::mem::take(&mut self.command_buf);
         {
-            let rng = rng_at(&mut self.rngs, self.seed, node.index());
             let ctx = &mut Context {
                 now: self.now,
                 node,
                 neighbors: self.deployment.neighbors(node),
-                rng,
+                rng: &mut self.rngs[node.index()],
+                seed: self.seed,
                 metrics: &mut self.metrics,
                 obs: &mut self.obs,
                 commands: &mut commands,
-                next_timer_id: &mut self.next_timer_id,
+                timers: &mut self.timers,
             };
             f(&mut self.apps[node.index()], ctx);
         }
@@ -628,14 +643,7 @@ impl<A: Application> Simulator<A> {
                     if self.obs.wants(ObsLevel::Full) {
                         self.obs.inc("engine.timers_set");
                     }
-                    self.live_timers.insert(id.0);
                     self.schedule(at.max(self.now), EventKind::Timer { node, token, id });
-                }
-                Command::CancelTimer { id } => {
-                    if self.obs.wants(ObsLevel::Full) {
-                        self.obs.inc("engine.timers_cancelled");
-                    }
-                    self.live_timers.remove(&id.0);
                 }
                 Command::TraceNote { code } => {
                     if self.trace.wants(TraceLevel::Metrics) {
@@ -878,17 +886,21 @@ impl<A: Application> Simulator<A> {
                 return;
             }
         }
-        let distance_ratio = self
-            .deployment
-            .position(node)
-            .distance_to(self.deployment.position(frame.src))
-            / self.deployment.radio_range();
-        if self.config.loss.drops(
-            rng_at(&mut self.rngs, self.seed, node.index()),
-            distance_ratio,
-        ) {
-            self.lose(node, frame.seq, LossCause::Stochastic);
-            return;
+        // A lossless model draws nothing, so the distance and the
+        // receiver's RNG are only touched when the model can drop.
+        if self.config.loss.draws() {
+            let distance_ratio = self
+                .deployment
+                .position(node)
+                .distance_to(self.deployment.position(frame.src))
+                / self.deployment.radio_range();
+            if self.config.loss.drops(
+                rng_at(&mut self.rngs, self.seed, node.index()),
+                distance_ratio,
+            ) {
+                self.lose(node, frame.seq, LossCause::Stochastic);
+                return;
+            }
         }
         // Delivery mutations: a surviving reception can be held back
         // (bounded reordering) or delivered twice (duplication).
@@ -958,7 +970,7 @@ impl<A: Application> Simulator<A> {
         if addressed {
             let src = frame.src;
             self.with_ctx(node, |app, ctx| app.on_message(ctx, src, &frame.payload));
-        } else {
+        } else if self.apps[node.index()].overhears(&frame.payload) {
             self.with_ctx(node, |app, ctx| app.on_overhear(ctx, frame));
         }
     }
@@ -986,7 +998,7 @@ impl<A: Application> Simulator<A> {
         };
         match kind {
             EventKind::Timer { node, token, id } => {
-                let live = self.live_timers.remove(&id.0);
+                let live = self.timers.fire(id);
                 // Timers of a down node are lost, not deferred: a crashed
                 // node's schedule dies with it.
                 if live && !self.down[node.index()] {
@@ -1096,13 +1108,6 @@ fn obs_snap(metrics: &Metrics, node: NodeId) -> SpanSnapshot {
         bytes: nm.bytes_sent + nm.bytes_received,
         energy_nj: nm.energy_total_nj() as u64,
     }
-}
-
-/// Derives node `i`'s RNG stream from the run seed. This is the exact
-/// derivation the eager constructor used, so lazily materialised streams
-/// draw byte-identical sequences.
-fn node_rng(seed: u64, i: usize) -> ChaCha8Rng {
-    ChaCha8Rng::seed_from_u64(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i as u64 + 1))
 }
 
 /// Node `i`'s RNG, materialising it on first use. A free function (not a

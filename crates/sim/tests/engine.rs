@@ -1,6 +1,8 @@
 //! Behavioural tests of the discrete-event engine: delivery, overhearing,
 //! collisions, half-duplex, timers, determinism, metrics.
 
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use wsn_sim::geometry::{Point, Region};
 use wsn_sim::prelude::*;
 
@@ -322,4 +324,86 @@ fn mac_drop_after_max_attempts() {
     sim.run_until(SimTime::from_secs(2));
     assert_eq!(sim.metrics().node(NodeId::new(1)).mac_drops, 1);
     assert!(sim.app(NodeId::new(0)).received.is_empty());
+}
+
+/// A flood with acknowledgements: each node relays the first flood
+/// broadcast (kind 0) it hears and unicasts an ack (kind 1) back to the
+/// sender, so neighbours overhear both kinds. `declines` names the kind
+/// this twin's [`Application::overhears`] turns down.
+struct AckFlood {
+    declines: Option<u8>,
+    relayed: bool,
+    /// `on_overhear` calls per message kind.
+    overheard: [u32; 2],
+}
+
+impl AckFlood {
+    fn new(declines: Option<u8>) -> Self {
+        AckFlood {
+            declines,
+            relayed: false,
+            overheard: [0; 2],
+        }
+    }
+}
+
+impl Application for AckFlood {
+    type Message = Vec<u8>;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, Vec<u8>>) {
+        if ctx.id() == NodeId::new(0) {
+            self.relayed = true;
+            ctx.broadcast(vec![0; 12]);
+        }
+    }
+
+    fn on_message(&mut self, ctx: &mut Context<'_, Vec<u8>>, from: NodeId, msg: &Vec<u8>) {
+        if msg[0] == 0 && !self.relayed {
+            self.relayed = true;
+            ctx.broadcast(msg.clone());
+            ctx.send(from, vec![1; 4]);
+        }
+    }
+
+    fn on_overhear(&mut self, _ctx: &mut Context<'_, Vec<u8>>, frame: &Frame<Vec<u8>>) {
+        self.overheard[usize::from(frame.payload[0])] += 1;
+    }
+
+    fn overhears(&self, msg: &Vec<u8>) -> bool {
+        self.declines != Some(msg[0])
+    }
+}
+
+fn ack_flood(declines: Option<u8>) -> Simulator<AckFlood> {
+    let mut rng = ChaCha8Rng::seed_from_u64(3);
+    let dep = Deployment::uniform_random(60, Region::new(150.0, 150.0), 40.0, &mut rng);
+    let mut config = SimConfig::paper_default();
+    config.trace_capacity = 1 << 16;
+    let mut sim = Simulator::new(dep, config, 9, |_| AckFlood::new(declines));
+    sim.run_to_quiescence(SimTime::from_secs(60));
+    sim
+}
+
+#[test]
+fn declined_overhears_skip_only_the_callback() {
+    let all = ack_flood(None);
+    let some = ack_flood(Some(1));
+    let acks_heard: u32 = all.apps().map(|(_, a)| a.overheard[1]).sum();
+    assert!(acks_heard > 0, "the accepting twin must overhear acks");
+    for ((id, a), (_, b)) in all.apps().zip(some.apps()) {
+        assert_eq!(b.overheard[1], 0, "{id}: declined callback ran");
+        assert_eq!(
+            a.overheard[0], b.overheard[0],
+            "{id}: accepted kind differs"
+        );
+        let (ma, mb) = (all.metrics().node(id), some.metrics().node(id));
+        assert_eq!(ma.frames_overheard, mb.frames_overheard, "{id}");
+        assert_eq!(ma.energy_rx_nj, mb.energy_rx_nj, "{id}");
+    }
+    assert_eq!(all.trace().evicted(), 0);
+    // Every trace entry, `FrameDelivered { addressed: false }` included.
+    assert_eq!(
+        all.trace().iter().collect::<Vec<_>>(),
+        some.trace().iter().collect::<Vec<_>>()
+    );
 }

@@ -100,7 +100,7 @@ const UNSAFE_ROOTS: [&str; 11] = [
 /// file, listing the function bodies XL006 scans. These run once per
 /// simulated event (or per receiver), so a single `.clone()` there
 /// multiplies into millions of allocations per experiment sweep.
-const HOT_PATHS: [(&str, &[&str]); 3] = [
+const HOT_PATHS: [(&str, &[&str]); 4] = [
     (
         "crates/sim/src/sim.rs",
         &[
@@ -126,6 +126,8 @@ const HOT_PATHS: [(&str, &[&str]); 3] = [
         &["push", "pop", "peek_key", "maintain"],
     ),
     ("crates/sim/src/arena.rs", &["take", "recycle"]),
+    // Every timer takes, and its event frees, one slab slot.
+    ("crates/sim/src/app.rs", &["set", "cancel", "fire"]),
 ];
 
 /// Where message enums are defined (exhaustiveness rule input).
