@@ -2,7 +2,7 @@
 //! reports, deep trees, degenerate networks.
 
 use agg::function::AggFunction;
-use agg::tag::{run_tag, TagConfig, TagNode};
+use agg::tag::{run_tag, run_tag_with_channel, TagConfig, TagNode};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use wsn_sim::geometry::{Point, Region};
@@ -55,14 +55,14 @@ fn heavy_stochastic_loss_shears_the_tree_but_never_overcounts() {
     let dep =
         Deployment::uniform_random_with_central_bs(200, Region::paper_default(), 50.0, &mut rng);
     let readings = agg::readings::count_readings(200);
-    let mut config = SimConfig::paper_default();
-    config.loss = LossModel::Iid(0.20);
-    let out = run_tag(
+    let out = run_tag_with_channel(
         dep,
-        config,
+        SimConfig::paper_default(),
         TagConfig::paper_default(AggFunction::Count),
         &readings,
         4,
+        &FaultPlan::none(),
+        &ChannelPlan::none().with_iid_loss(0.20).unwrap(),
     );
     assert!(out.value <= 199.0);
     assert!(
@@ -80,14 +80,14 @@ fn average_is_exact_on_clean_channels_regardless_of_subset() {
     let dep =
         Deployment::uniform_random_with_central_bs(150, Region::paper_default(), 50.0, &mut rng);
     let readings = vec![77u64; 150];
-    let mut config = SimConfig::paper_default();
-    config.loss = LossModel::Iid(0.10);
-    let out = run_tag(
+    let out = run_tag_with_channel(
         dep,
-        config,
+        SimConfig::paper_default(),
         TagConfig::paper_default(AggFunction::Average),
         &readings,
         4,
+        &FaultPlan::none(),
+        &ChannelPlan::none().with_iid_loss(0.10).unwrap(),
     );
     assert!(out.participants > 0);
     assert!((out.value - 77.0).abs() < 1e-9);

@@ -12,7 +12,7 @@
 
 use crate::parallel::par_sweep;
 use crate::{f3, mean, paper_deployment, Table};
-use agg::tag::{run_tag, TagConfig};
+use agg::tag::{run_tag_with_channel, TagConfig};
 use agg::AggFunction;
 use icpda::{IcpdaConfig, IcpdaRun};
 use wsn_sim::prelude::*;
@@ -37,18 +37,18 @@ pub fn run() -> std::io::Result<()> {
     );
     let losses = [0.0, 0.1, 0.2, 0.3, 0.5];
     let per_loss = par_sweep("fig14_linkquality", &losses, SEEDS, |&edge_loss, seed| {
-        let mut sim_config = SimConfig::paper_default();
-        sim_config.loss = LossModel::DistanceDependent {
-            alpha: 4.0,
-            edge_loss,
-        };
+        let channel = ChannelPlan::none()
+            .with_gray_zone(4.0, edge_loss)
+            .expect("invariant: edge losses are probabilities");
         let readings = agg::readings::count_readings(N);
-        let t = run_tag(
+        let t = run_tag_with_channel(
             paper_deployment(N, seed),
-            sim_config,
+            SimConfig::paper_default(),
             TagConfig::paper_default(AggFunction::Count),
             &readings,
             seed + 1,
+            &FaultPlan::none(),
+            &channel,
         );
         let i = IcpdaRun::new(
             paper_deployment(N, seed),
@@ -56,7 +56,7 @@ pub fn run() -> std::io::Result<()> {
             readings,
             seed + 1,
         )
-        .with_sim_config(sim_config)
+        .with_channel_plan(channel)
         .run();
         (
             agg::accuracy_ratio(t.value, t.truth),

@@ -43,14 +43,12 @@ fn parse_config(args: &Args) -> Result<IcpdaConfig, ParseArgsError> {
     Ok(config)
 }
 
-/// Parses the link-quality flags into the stochastic loss model and the
-/// channel-impairment plan. `--loss P` alone is i.i.d. loss; adding
-/// `--burst B` moves the same target rate into a Gilbert–Elliott bursty
-/// channel (the i.i.d. model stays off so loss is not applied twice);
-/// `--edge-loss E` (optionally with `--loss-alpha A`) is the
+/// Parses the link-quality flags into the channel plan. `--loss P`
+/// alone is i.i.d. loss; adding `--burst B` moves the same target rate
+/// into a Gilbert–Elliott bursty channel instead (so loss is not applied
+/// twice); `--edge-loss E` (optionally with `--loss-alpha A`) is the
 /// distance-dependent gray zone.
-fn parse_sim_config(args: &Args) -> Result<(SimConfig, ChannelPlan), ParseArgsError> {
-    let mut sim = SimConfig::paper_default();
+fn parse_channel(args: &Args) -> Result<ChannelPlan, ParseArgsError> {
     let loss: f64 = args.get_or("loss", 0.0)?;
     let edge: f64 = args.get_or("edge-loss", 0.0)?;
     let burst: f64 = args.get_or("burst", 0.0)?;
@@ -70,17 +68,19 @@ fn parse_sim_config(args: &Args) -> Result<(SimConfig, ChannelPlan), ParseArgsEr
             "--burst needs --loss to set the target rate".into(),
         ));
     }
-    let mut channel = ChannelPlan::none();
     if burst > 0.0 {
-        channel = ChannelPlan::bursty(loss, burst)
-            .map_err(|e| ParseArgsError(format!("--loss/--burst: {e}")))?;
+        ChannelPlan::bursty(loss, burst).map_err(|e| ParseArgsError(format!("--loss/--burst: {e}")))
     } else if loss > 0.0 {
-        sim.loss = LossModel::iid(loss).map_err(|e| ParseArgsError(format!("--loss: {e}")))?;
+        ChannelPlan::none()
+            .with_iid_loss(loss)
+            .map_err(|e| ParseArgsError(format!("--loss: {e}")))
     } else if edge > 0.0 {
-        sim.loss = LossModel::distance_dependent(alpha, edge)
-            .map_err(|e| ParseArgsError(format!("--edge-loss: {e}")))?;
+        ChannelPlan::none()
+            .with_gray_zone(alpha, edge)
+            .map_err(|e| ParseArgsError(format!("--edge-loss: {e}")))
+    } else {
+        Ok(ChannelPlan::none())
     }
-    Ok((sim, channel))
 }
 
 /// Parses `--arq on|off` into a retry policy (absent = paper default:
@@ -240,7 +240,8 @@ pub fn run(args: &Args) -> Result<(), ParseArgsError> {
     let mut config = parse_config(args)?;
     config.rounds = args.get_or("rounds", 1)?;
     config.reliability = parse_reliability(args)?;
-    let (mut sim, channel) = parse_sim_config(args)?;
+    let channel = parse_channel(args)?;
+    let mut sim = SimConfig::paper_default();
     let obs_out = args.get("obs-out").map(std::path::PathBuf::from);
     let obs_stream = args.get("obs-stream").map(std::path::PathBuf::from);
     if obs_out.is_some() && obs_stream.is_some() {
@@ -776,42 +777,46 @@ mod tests {
 
     #[test]
     fn sim_config_loss_flags_are_exclusive() {
-        assert!(parse_sim_config(&args(&["run", "--loss", "0.1", "--edge-loss", "0.2"])).is_err());
-        let (c, plan) = parse_sim_config(&args(&["run", "--edge-loss", "0.2"])).unwrap();
-        assert!(matches!(
-            c.loss,
-            wsn_sim::LossModel::DistanceDependent { .. }
-        ));
-        assert!(plan.is_empty());
+        assert!(parse_channel(&args(&["run", "--loss", "0.1", "--edge-loss", "0.2"])).is_err());
+        let plan = parse_channel(&args(&["run", "--edge-loss", "0.2"])).unwrap();
+        assert_eq!(
+            plan,
+            ChannelPlan::none().with_gray_zone(4.0, 0.2).unwrap(),
+            "--edge-loss alone is the gray zone at the default exponent"
+        );
+        assert!(parse_channel(&args(&["run"])).unwrap().is_empty());
     }
 
     #[test]
     fn loss_flags_go_through_the_validated_constructors() {
         // Out-of-range probabilities are typed errors, not silent panics
         // deep in the radio model.
-        let err = parse_sim_config(&args(&["run", "--loss", "1.5"])).unwrap_err();
+        let err = parse_channel(&args(&["run", "--loss", "1.5"])).unwrap_err();
         assert!(err.0.contains("--loss"), "{}", err.0);
         assert!(err.0.contains("1.5"), "{}", err.0);
-        let err = parse_sim_config(&args(&["run", "--edge-loss", "0.2", "--loss-alpha", "-1"]))
-            .unwrap_err();
+        let err =
+            parse_channel(&args(&["run", "--edge-loss", "0.2", "--loss-alpha", "-1"])).unwrap_err();
         assert!(err.0.contains("--edge-loss"), "{}", err.0);
         // --loss-alpha without --edge-loss is meaningless.
-        assert!(parse_sim_config(&args(&["run", "--loss-alpha", "2"])).is_err());
+        assert!(parse_channel(&args(&["run", "--loss-alpha", "2"])).is_err());
     }
 
     #[test]
     fn burst_flag_builds_a_bursty_channel_plan() {
-        let (c, plan) =
-            parse_sim_config(&args(&["run", "--loss", "0.2", "--burst", "0.7"])).unwrap();
-        // The channel plan owns the loss; the i.i.d. model must stay off.
-        assert!(matches!(c.loss, wsn_sim::LossModel::None));
+        let plan = parse_channel(&args(&["run", "--loss", "0.2", "--burst", "0.7"])).unwrap();
+        // The bursty chain owns the loss; no i.i.d. term rides along.
+        assert_eq!(plan, ChannelPlan::bursty(0.2, 0.7).unwrap());
         let ge = plan.gilbert_elliott().expect("bursty plan");
         assert!((ge.mean_loss() - 0.2).abs() < 1e-12);
         // --burst without --loss has no rate to target.
-        assert!(parse_sim_config(&args(&["run", "--burst", "0.5"])).is_err());
+        assert!(parse_channel(&args(&["run", "--burst", "0.5"])).is_err());
         // Invalid burstiness surfaces the typed channel-plan error.
-        let err = parse_sim_config(&args(&["run", "--loss", "0.2", "--burst", "1.5"])).unwrap_err();
+        let err = parse_channel(&args(&["run", "--loss", "0.2", "--burst", "1.5"])).unwrap_err();
         assert!(err.0.contains("--loss/--burst"), "{}", err.0);
+        // Burstiness 1 would silently run loss-free: rejected too.
+        let err = parse_channel(&args(&["run", "--loss", "0.2", "--burst", "1"])).unwrap_err();
+        assert!(err.0.contains("--loss/--burst"), "{}", err.0);
+        assert!(err.0.contains("burstiness 1"), "{}", err.0);
     }
 
     #[test]

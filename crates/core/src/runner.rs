@@ -141,8 +141,8 @@ impl IcpdaRun {
         self
     }
 
-    /// Installs a channel-impairment plan (bursty loss, corruption,
-    /// duplication, reordering, link windows — see
+    /// Installs a channel-impairment plan (link windows, bursty, i.i.d.
+    /// or gray-zone loss, corruption, reordering, duplication — see
     /// [`wsn_sim::ChannelPlan`]). An empty plan is a strict no-op: the
     /// run is byte-identical to one configured without it.
     #[must_use]
@@ -151,7 +151,7 @@ impl IcpdaRun {
         self
     }
 
-    /// Overrides the simulator (radio/MAC/loss/energy) configuration.
+    /// Overrides the simulator (radio/MAC/energy/observability) configuration.
     #[must_use]
     pub fn with_sim_config(mut self, sim_config: SimConfig) -> Self {
         self.sim_config = sim_config;

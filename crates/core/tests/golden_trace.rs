@@ -39,8 +39,7 @@ const SEED: u64 = 42;
 /// Which pinned run to render.
 #[derive(Clone, Copy)]
 enum Scenario {
-    /// The paper default: no crash recovery, `LossModel::None`, an empty
-    /// channel plan. Every trace line is stored.
+    /// The paper default: no crash recovery, an empty channel plan. Every trace line is stored.
     PaperDefault,
     /// The branches the paper default never reaches: crash recovery
     /// under random churn, distance-dependent loss, and a channel plan
@@ -76,7 +75,6 @@ fn render_run(scenario: Scenario) -> String {
     sim_config.trace_capacity = 1 << 20;
     if let Scenario::Churn = scenario {
         config.crash_recovery = true;
-        sim_config.loss = LossModel::distance_dependent(2.0, 0.3).expect("valid loss model");
     }
     let mut sim = Simulator::new(dep, sim_config, SEED, |id| {
         IcpdaNode::new(config, id == NodeId::new(0), readings[id.index()])
@@ -88,6 +86,7 @@ fn render_run(scenario: Scenario) -> String {
             .and_then(|p| p.with_corruption(0.02))
             .and_then(|p| p.with_reordering(0.05, SimDuration::from_millis(20)))
             .and_then(|p| p.with_duplication(0.05))
+            .and_then(|p| p.with_gray_zone(2.0, 0.3))
             .expect("valid channel plan");
         sim.set_channel_plan(channel);
     }

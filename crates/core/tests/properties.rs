@@ -144,15 +144,16 @@ proptest! {
         loss_pct in 0u32..15,
     ) {
         let dep = network(n, dep_seed);
-        let mut sim_config = SimConfig::paper_default();
-        sim_config.loss = LossModel::Iid(f64::from(loss_pct) / 100.0);
+        let channel = ChannelPlan::none()
+            .with_iid_loss(f64::from(loss_pct) / 100.0)
+            .unwrap();
         let out = IcpdaRun::new(
             dep,
             IcpdaConfig::paper_default(AggFunction::Count),
             agg::readings::count_readings(n),
             run_seed,
         )
-        .with_sim_config(sim_config)
+        .with_channel_plan(channel)
         .run();
         prop_assert!(out.accepted, "benign loss must never look like pollution");
         prop_assert!(out.value <= (n - 1) as f64 + 0.5);

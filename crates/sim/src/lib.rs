@@ -6,6 +6,9 @@
 //! * node deployment over a planar region and the induced unit-disk
 //!   communication graph ([`topology`]),
 //! * a byte-accurate radio with per-frame airtime ([`radio`]),
+//! * one channel model for stochastic reception impairment: link
+//!   windows, bursty, i.i.d. and gray-zone loss, corruption, reordering
+//!   and duplication ([`channel`]),
 //! * a CSMA/CA-style MAC with carrier sense, binary-exponential backoff,
 //!   receiver-side collisions and half-duplex loss ([`mac`], [`sim`]),
 //! * promiscuous overhearing, which the protocol's integrity layer
@@ -56,7 +59,7 @@ pub use frame::{Destination, Frame, WireSize};
 pub use ids::NodeId;
 pub use metrics::{EnergyModel, LossCause, Metrics, NodeMetrics};
 pub use profile::{EngineProfile, EngineProfiler};
-pub use radio::{LossModel, LossModelError, RadioConfig};
+pub use radio::RadioConfig;
 pub use sim::{SimConfig, Simulator};
 pub use time::{SimDuration, SimTime};
 pub use topology::Deployment;
@@ -76,7 +79,7 @@ pub mod prelude {
     pub use crate::ids::NodeId;
     pub use crate::mac::MacConfig;
     pub use crate::metrics::{EnergyModel, LossCause, Metrics};
-    pub use crate::radio::{LossModel, LossModelError, RadioConfig};
+    pub use crate::radio::RadioConfig;
     pub use crate::sim::{SimConfig, Simulator};
     pub use crate::time::{SimDuration, SimTime};
     pub use crate::topology::Deployment;

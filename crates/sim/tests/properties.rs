@@ -68,11 +68,15 @@ proptest! {
         }
     }
 
-    /// Conservation: every reception a transmission schedules is
-    /// accounted exactly once — received, overheard, or lost with one of
-    /// the five reception causes. Checked on the plain channel and again
-    /// under crashes, outages, Gilbert–Elliott loss, corruption and
-    /// reordering (duplication is left out: it delivers twice by design).
+    /// Conservation: every transmission is accounted at every neighbour
+    /// exactly once — received, overheard, or lost with one of the five
+    /// reception causes, where a duplicated reception counts once (its
+    /// extra copy is `engine.channel_duplicated`). Checked on the plain channel and
+    /// again under crashes, outages, Gilbert–Elliott loss, corruption,
+    /// gray-zone loss, reordering and duplication. Both runs record at
+    /// `ObsLevel::Full` with a short MAC retry limit, so sender-side MAC
+    /// drops occur and must equal the engine's `engine.mac_drops`
+    /// counter.
     #[test]
     fn reception_accounting_is_conservative(
         positions in arb_positions(30),
@@ -83,6 +87,7 @@ proptest! {
             0.0f64..0.1,
             0.0f64..0.2,
         ),
+        (gray, duplicate, max_attempts) in (0.0f64..0.5, 0.0f64..0.2, 1u32..=3),
     ) {
         let pts: Vec<Point> = positions.iter().map(|&(x, y)| Point::new(x, y)).collect();
         let n = pts.len() as u32;
@@ -100,13 +105,22 @@ proptest! {
         }
         let channel_plan = ChannelPlan::bursty(ge_rate, 0.5)
             .and_then(|p| p.with_corruption(corrupt))
+            .and_then(|p| p.with_gray_zone(2.0, gray))
             .and_then(|p| p.with_reordering(reorder, SimDuration::from_millis(2)))
+            .and_then(|p| p.with_duplication(duplicate))
             .expect("valid channel plan");
         for impaired in [false, true] {
             let dep = Deployment::from_positions(pts.clone(), Region::new(300.0, 300.0), 70.0);
             let degree0: Vec<usize> = dep.node_ids().map(|i| dep.degree(i)).collect();
-            let mut sim =
-                Simulator::new(dep, SimConfig::paper_default(), seed, |_| Flood::default());
+            let config = SimConfig {
+                mac: MacConfig {
+                    max_attempts,
+                    ..MacConfig::paper_default()
+                },
+                obs_level: ObsLevel::Full,
+                ..SimConfig::paper_default()
+            };
+            let mut sim = Simulator::new(dep, config, seed, |_| Flood::default());
             if impaired {
                 sim.set_fault_plan(fault_plan.clone());
                 sim.set_channel_plan(channel_plan.clone());
@@ -123,13 +137,18 @@ proptest! {
                 .iter()
                 .map(|(_, nm)| nm.frames_received + nm.frames_overheard)
                 .sum();
+            let duplicated = sim.obs().counter("engine.channel_duplicated");
             // `MacDrop` is a sender-side drop: the frame never went on air.
             let lost: u64 = LossCause::ALL
                 .into_iter()
                 .filter(|&c| c != LossCause::MacDrop)
                 .map(|c| m.total_lost(c))
                 .sum();
-            prop_assert_eq!(expected_receptions, delivered + lost);
+            prop_assert_eq!(expected_receptions, delivered - duplicated + lost);
+            prop_assert_eq!(
+                sim.obs().counter("engine.mac_drops"),
+                m.total_lost(LossCause::MacDrop)
+            );
         }
     }
 

@@ -100,7 +100,7 @@ const UNSAFE_ROOTS: [&str; 11] = [
 /// file, listing the function bodies XL006 scans. These run once per
 /// simulated event (or per receiver), so a single `.clone()` there
 /// multiplies into millions of allocations per experiment sweep.
-const HOT_PATHS: [(&str, &[&str]); 4] = [
+const HOT_PATHS: [(&str, &[&str]); 5] = [
     (
         "crates/sim/src/sim.rs",
         &[
@@ -128,6 +128,8 @@ const HOT_PATHS: [(&str, &[&str]); 4] = [
     ("crates/sim/src/arena.rs", &["take", "recycle"]),
     // Every timer takes, and its event frees, one slab slot.
     ("crates/sim/src/app.rs", &["set", "cancel", "fire"]),
+    // The channel decides the fate of every admitted reception.
+    ("crates/sim/src/channel.rs", &["fate"]),
 ];
 
 /// Where message enums are defined (exhaustiveness rule input).

@@ -221,15 +221,13 @@ fn measured_latency_matches_the_schedule_model() {
 #[test]
 fn stochastic_loss_degrades_but_does_not_break_the_protocol() {
     let n = 300;
-    let mut config = SimConfig::paper_default();
-    config.loss = LossModel::Iid(0.03);
     let out = IcpdaRun::new(
         deployment(n, 4),
         IcpdaConfig::paper_default(AggFunction::Count),
         agg::readings::count_readings(n),
         5,
     )
-    .with_sim_config(config)
+    .with_channel_plan(ChannelPlan::none().with_iid_loss(0.03).unwrap())
     .run();
     assert!(out.accepted, "benign loss must not trigger alarms");
     assert!(
