@@ -17,12 +17,12 @@
 //! artefact (the XL008 rule): it is reported on stderr only.
 
 use crate::parallel::par_map;
-use crate::perf::peak_rss_bytes;
 use crate::{f1, f3, mean, scaled_deployment, Table};
 use agg::tag::{run_tag, TagConfig};
 use agg::AggFunction;
 use icpda::{IcpdaConfig, IcpdaRun};
 use wsn_sim::prelude::*;
+use wsn_sim::profile::peak_rss_bytes;
 
 /// The size axis of the full sweep.
 pub const SCALE_SIZES: [usize; 4] = [600, 2_000, 10_000, 50_000];
@@ -277,7 +277,7 @@ pub fn capture_stream(opts: ScaleOptions, dir: &std::path::Path) -> Result<(), S
         tool: "fig21_scale capture".to_string(),
         seed: run_seed,
         threads: crate::parallel::effective_threads(),
-        git_rev: crate::perf::git_rev(),
+        git_rev: crate::git_rev(),
         config: vec![
             ("nodes".to_string(), n.to_string()),
             ("depth".to_string(), depth.to_string()),

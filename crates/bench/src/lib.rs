@@ -10,7 +10,6 @@
 
 pub mod experiments;
 pub mod parallel;
-pub mod perf;
 pub mod svg;
 
 use rand::SeedableRng;
@@ -189,6 +188,19 @@ pub fn run_main(run: impl FnOnce() -> io::Result<()>) -> std::process::ExitCode 
             std::process::ExitCode::FAILURE
         }
     }
+}
+
+/// Short git revision of the working tree, or `"unknown"` outside a
+/// repository — recorded in observability manifests.
+#[must_use]
+pub fn git_rev() -> String {
+    std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|out| out.status.success())
+        .and_then(|out| String::from_utf8(out.stdout).ok())
+        .map_or_else(|| "unknown".to_string(), |s| s.trim().to_string())
 }
 
 /// Formats a float with 3 decimals (the tables' standard cell format).

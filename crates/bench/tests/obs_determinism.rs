@@ -10,12 +10,13 @@
 
 use agg::AggFunction;
 use icpda::{IcpdaConfig, IcpdaRun};
-use icpda_bench::{paper_deployment, parallel, perf};
+use icpda_bench::{paper_deployment, parallel};
 use icpda_obs::export::Manifest;
 use icpda_obs::json::{self, Json};
 use icpda_obs::stream::ObsStream;
 use icpda_obs::ObsLevel;
 use std::path::Path;
+use wsn_sim::{FaultPlan, SimConfig, TraceLevel};
 
 fn manifest_threads(dir: &Path) -> f64 {
     let text = std::fs::read_to_string(dir.join("manifest.json")).expect("read manifest");
@@ -39,12 +40,14 @@ fn obs_export_is_byte_identical_across_thread_counts() {
     let base = std::env::temp_dir().join(format!("icpda_obs_det_{}", std::process::id()));
     let one = base.join("t1");
     let eight = base.join("t8");
+    // N=200 with node churn, so every protocol phase (crash recovery
+    // included) emits spans.
     parallel::set_threads(1);
-    perf::capture_obs(&one, ObsLevel::Full).expect("capture at 1 thread");
+    capture(200, 7, 0.15, Some(&one));
     parallel::set_threads(8);
-    perf::capture_obs(&eight, ObsLevel::Full).expect("capture at 8 threads");
+    capture(200, 7, 0.15, Some(&eight));
 
-    // The capture now goes through the streaming exporter, so the full
+    // The capture goes through the streaming exporter, so the full
     // event trace is part of the identity contract too.
     assert_same_files(
         &one,
@@ -59,16 +62,21 @@ fn obs_export_is_byte_identical_across_thread_counts() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
-/// One small instrumented run, streamed to `dir`, or buffered in memory
-/// when `dir` is `None` (returning the rendered spans/metrics text
-/// instead).
-fn capture(dir: Option<&Path>) -> Option<(String, String)> {
-    let n = 120;
-    let seed = 5;
-    let config = IcpdaConfig::paper_default(AggFunction::Count);
-    let mut sc = wsn_sim::SimConfig::paper_default();
+/// One fully instrumented COUNT round over a paper deployment of `n`
+/// nodes (obs, event trace, engine self-profile and flight recorder all
+/// on). A `churn` above zero crashes that fraction of nodes before the
+/// decision and turns crash recovery on. The capture is streamed to
+/// `dir`, with the harness thread count in its manifest, or buffered
+/// in memory when `dir` is `None` (returning the rendered spans/metrics
+/// text instead).
+fn capture(n: usize, seed: u64, churn: f64, dir: Option<&Path>) -> Option<(String, String)> {
+    let mut config = IcpdaConfig::paper_default(AggFunction::Count);
+    config.crash_recovery = churn > 0.0;
+    let mut sc = SimConfig::paper_default();
     sc.obs_level = ObsLevel::Full;
-    sc.trace_level = wsn_sim::TraceLevel::Full;
+    sc.trace_level = TraceLevel::Full;
+    sc.profile = true;
+    sc.flight_rounds = 4;
     let mut run = IcpdaRun::new(
         paper_deployment(n, seed),
         config,
@@ -76,11 +84,16 @@ fn capture(dir: Option<&Path>) -> Option<(String, String)> {
         seed,
     )
     .with_sim_config(sc);
+    if churn > 0.0 {
+        let horizon = config.schedule.decision_time();
+        let plan = FaultPlan::random_churn(n, churn, horizon, seed).expect("valid churn rate");
+        run = run.with_fault_plan(plan);
+    }
     if let Some(dir) = dir {
         let manifest = Manifest {
             tool: "obs_determinism test".to_string(),
             seed,
-            threads: 1,
+            threads: parallel::effective_threads(),
             git_rev: "test".to_string(),
             config: vec![],
         };
@@ -103,10 +116,10 @@ fn capture(dir: Option<&Path>) -> Option<(String, String)> {
 fn streamed_capture_matches_buffered() {
     let base = std::env::temp_dir().join(format!("icpda_obs_stream_{}", std::process::id()));
     let dir = base.join("streamed");
-    capture(Some(&dir));
+    capture(120, 5, 0.0, Some(&dir));
     // Buffered twin of the streamed run: the streaming exporter must
     // reproduce the in-memory renderer byte for byte.
-    let (spans, metrics) = capture(None).expect("buffered capture");
+    let (spans, metrics) = capture(120, 5, 0.0, None).expect("buffered capture");
     let streamed_spans = std::fs::read_to_string(dir.join("spans.jsonl")).expect("spans");
     let streamed_metrics = std::fs::read_to_string(dir.join("metrics.jsonl")).expect("metrics");
     assert_eq!(spans, streamed_spans, "spans: streamed != buffered");

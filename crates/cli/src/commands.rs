@@ -24,13 +24,18 @@ fn parse_function(args: &Args) -> Result<AggFunction, ParseArgsError> {
     }
 }
 
-fn parse_config(args: &Args) -> Result<IcpdaConfig, ParseArgsError> {
-    let mut config = IcpdaConfig::paper_default(parse_function(args)?);
+/// Parses `--pc` (fixed head-election probability, default 0.25).
+fn parse_election(args: &Args) -> Result<HeadElection, ParseArgsError> {
     let p_c: f64 = args.get_or("pc", 0.25)?;
     if !(0.0..=1.0).contains(&p_c) {
         return Err(ParseArgsError("--pc must be a probability".into()));
     }
-    config.election = HeadElection::Fixed(p_c);
+    Ok(HeadElection::Fixed(p_c))
+}
+
+fn parse_config(args: &Args) -> Result<IcpdaConfig, ParseArgsError> {
+    let mut config = IcpdaConfig::paper_default(parse_function(args)?);
+    config.election = parse_election(args)?;
     config.integrity = match args.get("integrity").unwrap_or("on") {
         "on" => IntegrityMode::On,
         "off" => IntegrityMode::Off,
@@ -48,12 +53,17 @@ fn parse_config(args: &Args) -> Result<IcpdaConfig, ParseArgsError> {
 /// into a Gilbert–Elliott bursty channel instead (so loss is not applied
 /// twice); `--edge-loss E` (optionally with `--loss-alpha A`) is the
 /// distance-dependent gray zone.
+///
+/// Only an absent flag or an explicit `0` leaves its term out: a term
+/// added at p = 0 still draws, which would shift every output. Any
+/// other value, negative or NaN included, goes to the validating
+/// [`ChannelPlan`] builders, which reject it.
 fn parse_channel(args: &Args) -> Result<ChannelPlan, ParseArgsError> {
     let loss: f64 = args.get_or("loss", 0.0)?;
     let edge: f64 = args.get_or("edge-loss", 0.0)?;
     let burst: f64 = args.get_or("burst", 0.0)?;
     let alpha: f64 = args.get_or("loss-alpha", 4.0)?;
-    if loss > 0.0 && edge > 0.0 {
+    if loss != 0.0 && edge != 0.0 {
         return Err(ParseArgsError(
             "--loss and --edge-loss are mutually exclusive".into(),
         ));
@@ -63,18 +73,18 @@ fn parse_channel(args: &Args) -> Result<ChannelPlan, ParseArgsError> {
             "--loss-alpha only applies together with --edge-loss".into(),
         ));
     }
-    if burst > 0.0 && loss == 0.0 {
+    if burst != 0.0 && loss == 0.0 {
         return Err(ParseArgsError(
             "--burst needs --loss to set the target rate".into(),
         ));
     }
-    if burst > 0.0 {
+    if burst != 0.0 {
         ChannelPlan::bursty(loss, burst).map_err(|e| ParseArgsError(format!("--loss/--burst: {e}")))
-    } else if loss > 0.0 {
+    } else if loss != 0.0 {
         ChannelPlan::none()
             .with_iid_loss(loss)
             .map_err(|e| ParseArgsError(format!("--loss: {e}")))
-    } else if edge > 0.0 {
+    } else if edge != 0.0 {
         ChannelPlan::none()
             .with_gray_zone(alpha, edge)
             .map_err(|e| ParseArgsError(format!("--edge-loss: {e}")))
@@ -144,7 +154,7 @@ fn run_manifest(
         tool: tool.to_string(),
         seed,
         threads: icpda_bench::parallel::effective_threads(),
-        git_rev: icpda_bench::perf::git_rev(),
+        git_rev: icpda_bench::git_rev(),
         config: vec![
             ("nodes".to_string(), n.to_string()),
             ("seed".to_string(), seed.to_string()),
@@ -710,7 +720,7 @@ pub fn privacy(args: &Args) -> Result<(), ParseArgsError> {
         return Err(ParseArgsError("--px must be a probability".into()));
     }
     let mut config = IcpdaConfig::paper_default(AggFunction::Count);
-    config.election = HeadElection::Fixed(args.get_or("pc", 0.25)?);
+    config.election = parse_election(args)?;
     let out = IcpdaRun::new(
         deployment(n, seed),
         config,
@@ -776,6 +786,14 @@ mod tests {
     }
 
     #[test]
+    fn privacy_rejects_a_bad_pc_instead_of_panicking() {
+        for pc in ["1.5", "-0.3", "NaN"] {
+            let err = privacy(&args(&["privacy", "--nodes", "30", "--pc", pc])).unwrap_err();
+            assert_eq!(err.0, "--pc must be a probability", "--pc {pc}");
+        }
+    }
+
+    #[test]
     fn sim_config_loss_flags_are_exclusive() {
         assert!(parse_channel(&args(&["run", "--loss", "0.1", "--edge-loss", "0.2"])).is_err());
         let plan = parse_channel(&args(&["run", "--edge-loss", "0.2"])).unwrap();
@@ -799,6 +817,23 @@ mod tests {
         assert!(err.0.contains("--edge-loss"), "{}", err.0);
         // --loss-alpha without --edge-loss is meaningless.
         assert!(parse_channel(&args(&["run", "--loss-alpha", "2"])).is_err());
+        // Negative and NaN values are rejected, not read as "no loss".
+        for (flag, value) in [
+            ("--loss", "-0.5"),
+            ("--loss", "NaN"),
+            ("--edge-loss", "-0.2"),
+            ("--edge-loss", "NaN"),
+        ] {
+            let err = parse_channel(&args(&["run", flag, value])).unwrap_err();
+            assert!(err.0.contains(flag), "{flag} {value}: {}", err.0);
+            assert!(err.0.contains(value), "{flag} {value}: {}", err.0);
+        }
+        // An explicit 0 is the same empty plan as no flag at all.
+        for flag in ["--loss", "--edge-loss"] {
+            assert!(parse_channel(&args(&["run", flag, "0"]))
+                .unwrap()
+                .is_empty());
+        }
     }
 
     #[test]
@@ -817,6 +852,18 @@ mod tests {
         let err = parse_channel(&args(&["run", "--loss", "0.2", "--burst", "1"])).unwrap_err();
         assert!(err.0.contains("--loss/--burst"), "{}", err.0);
         assert!(err.0.contains("burstiness 1"), "{}", err.0);
+        // A negative or NaN burstiness errors instead of falling back
+        // to i.i.d. loss.
+        for value in ["-1", "NaN"] {
+            let err =
+                parse_channel(&args(&["run", "--loss", "0.2", "--burst", value])).unwrap_err();
+            assert!(err.0.contains("--loss/--burst"), "{value}: {}", err.0);
+        }
+        // --burst 0 is plain i.i.d. loss, as with no --burst.
+        assert_eq!(
+            parse_channel(&args(&["run", "--loss", "0.2", "--burst", "0"])).unwrap(),
+            ChannelPlan::none().with_iid_loss(0.2).unwrap()
+        );
     }
 
     #[test]

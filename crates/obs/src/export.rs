@@ -21,7 +21,7 @@ pub const OBS_SCHEMA_VERSION: u64 = 1;
 /// The run manifest: what produced an obs directory.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Manifest {
-    /// Producing tool, e.g. `icpda run` or `bench`.
+    /// Producing tool, e.g. `icpda run` or `fig21_scale capture`.
     pub tool: String,
     /// RNG seed of the run.
     pub seed: u64,
@@ -97,8 +97,8 @@ impl Manifest {
 }
 
 /// Checks the `schema_version` stamp of a versioned JSON artefact
-/// (`what` names it in errors, e.g. `obs manifest` or a bench report
-/// path).
+/// (`what` names it in errors, e.g. `obs manifest` or
+/// `profile.jsonl`).
 ///
 /// # Errors
 ///

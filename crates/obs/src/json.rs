@@ -1,5 +1,5 @@
 //! A minimal JSON value model: enough to write and re-read the
-//! `BENCH_*.json` and obs-directory artefacts without external
+//! obs-directory artefacts and `perfbench` records without external
 //! dependencies (the build is fully offline, see DESIGN.md §5).
 //!
 //! Numbers are `f64` (every quantity in a report is a count or a
@@ -7,7 +7,8 @@
 //! stable, and the parser accepts exactly the subset the writers emit.
 //!
 //! It lives in the obs crate, below `wsn-sim` in the dependency graph,
-//! so the exporter and the bench harness share one implementation.
+//! so the exporter, the engine profile and `perfbench` share one
+//! implementation.
 
 use std::fmt::Write as _;
 

@@ -6,8 +6,7 @@
 //! enabled. Unlike `spans.jsonl`/`metrics.jsonl` it records **host
 //! facts** — wall-clock nanoseconds per engine phase and the process RSS
 //! high-water mark — so it is never part of a byte-identity comparison;
-//! it rides the same sanctioned host-facts channel as `BENCH_*.json`
-//! (DESIGN §10, rule XL008).
+//! it is the sanctioned host-facts channel of DESIGN §10 (rule XL008).
 //!
 //! Line shapes (one compact JSON object per line):
 //!

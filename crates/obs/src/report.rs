@@ -1,7 +1,7 @@
 //! Reads an obs directory back and renders human reports: a per-phase
 //! table (latency, messages, energy, coverage) and a two-run diff with
-//! `::warning::`-style deltas (same soft-gate idiom as the bench
-//! harness).
+//! `::warning::`-style deltas (GitHub Actions renders them as
+//! annotations).
 
 use crate::export::Manifest;
 use crate::json::{self, Json};

@@ -8,8 +8,8 @@
 //!
 //! **Determinism:** this module is the *only* place in `wsn-sim` that
 //! touches the host clock, and the readings flow exclusively into
-//! [`EngineProfile`] → `profile.jsonl` — a host-facts artefact like
-//! `BENCH_*.json`, never byte-compared across runs (DESIGN §10). The
+//! [`EngineProfile`] → `profile.jsonl` — a host-facts artefact, never
+//! byte-compared across runs (DESIGN §10). The
 //! simulation itself never observes a [`Stamp`]: profiling changes what
 //! is measured, not what is simulated, so traces stay byte-identical
 //! with profiling on or off. Rule XL008 proves the flow claim; the

@@ -89,6 +89,29 @@ fn broadcast_reaches_only_radio_range() {
 }
 
 #[test]
+fn fanout_delivers_to_every_receiver() {
+    // 16 nodes on a 10 m circle inside a 50 m range form a clique; one
+    // transmitter broadcasts 10 frames and every other node gets each.
+    let n = 16u32;
+    let pts = (0..n)
+        .map(|i| {
+            let angle = f64::from(i) / f64::from(n) * std::f64::consts::TAU;
+            Point::new(50.0 + 10.0 * angle.cos(), 50.0 + 10.0 * angle.sin())
+        })
+        .collect();
+    let dep = Deployment::from_positions(pts, Region::new(100.0, 100.0), 50.0);
+    let script = (0..10u8)
+        .map(|i| (1 + 2 * u64::from(i), ProbeAction::Broadcast(vec![i])))
+        .collect();
+    let mut sim = probe_sim(dep, SimConfig::ideal(), vec![script]);
+    sim.run_until(SimTime::from_secs(1));
+    let sent: Vec<_> = (0..10u8).map(|i| (NodeId::new(0), vec![i])).collect();
+    for id in 1..n {
+        assert_eq!(sim.app(NodeId::new(id)).received, sent, "receiver {id}");
+    }
+}
+
+#[test]
 fn unicast_delivers_to_target_and_overhears_to_others() {
     // Triangle: all three in range of each other.
     let pts = vec![

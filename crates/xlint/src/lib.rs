@@ -890,8 +890,8 @@ pub fn dataflow_diagnostics(files: &[&ScannedFile], secrets: &Secrets) -> Vec<Di
         barriers: barriers.clone(),
         self_tainted_owners: BTreeSet::new(),
         remedy: "deterministic outputs must derive only from the seeded \
-                 simulation clock/RNG; keep host timings in BENCH_*.json \
-                 or stderr",
+                 simulation clock/RNG; keep host timings on stderr or \
+                 in profile.jsonl",
     };
     out.extend(taint::analyze(&ws_ir, &cg, &spec));
     // Stale `[secrets]` entries: every declared type / barrier must still

@@ -67,7 +67,26 @@ fn a_seeded_violation_is_caught_without_the_allowlist() {
         report
             .diagnostics
             .iter()
-            .any(|d| d.rule == xlint::RuleId::Xl008 && d.ident == "row"),
-        "expected the bench wall-clock flow into the report table to surface (XL008)"
+            .any(|d| d.rule == xlint::RuleId::Xl001 && d.ident == "Instant"),
+        "expected the engine profiler's host clock to surface without its allowlist entry (XL001)"
+    );
+    // XL008 has no allowlisted site in the tree: the profiler's
+    // declassify barriers are what keep its clock out of engine state.
+    // Without them the flow rule must fire on the real tree.
+    let mut secrets = config.secrets;
+    secrets
+        .declassify
+        .retain(|f| !f.starts_with("lap_") && f != "time_host");
+    let config = LintConfig {
+        allow: Vec::new(),
+        secrets,
+    };
+    let report = lint_workspace(workspace_root(), &config).expect("lint run succeeds");
+    assert!(
+        report
+            .diagnostics
+            .iter()
+            .any(|d| d.rule == xlint::RuleId::Xl008),
+        "expected host-clock flows to surface without the profiler's barriers (XL008)"
     );
 }
